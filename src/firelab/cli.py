@@ -25,10 +25,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, clocks, estimators, firesim, percolation
+from . import __version__, clocks, estimators, firesim, invariants
 from .clocks import T_C
 from .estimators import EventParams, FitError
-from .lattice import ConeRegion, TubeRegion, Window, outer_boundary
+from .lattice import ConeRegion, TubeRegion, Window
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -61,7 +61,6 @@ class RunConfig:
     samples_per_n: int = 2000
     half_plane: bool = True
     region: str = "cone"     # cone | tube
-    engine: str = "auto"
     model: str = "n_exp"
     heights_list: tuple = (24, 48)
     width_factor: float = 3.0
@@ -71,15 +70,16 @@ class RunConfig:
     corrupt_streams: bool = False
 
     def resolved_threads(self) -> int:
-        if self.threads > 0:
-            return self.threads
-        env = os.environ.get("FIRELAB_THREADS", "")
-        if env.strip():
+        """Worker count: ``threads``, else FIRELAB_THREADS, else 1; at most
+        the CPU count."""
+        threads = self.threads
+        if threads == 0:
+            env = os.environ.get("FIRELAB_THREADS", "").strip()
             try:
-                return max(1, int(env))
+                threads = int(env) if env else 1
             except ValueError as exc:
                 raise ConfigError(f"bad FIRELAB_THREADS value {env!r}") from exc
-        return 1
+        return max(1, min(threads, os.cpu_count() or 1))
 
     def validate(self) -> None:
         if self.samples < 1:
@@ -104,8 +104,6 @@ class RunConfig:
             raise ConfigError("t_list values must be < t_c")
         if self.region not in ("cone", "tube"):
             raise ConfigError("region must be cone or tube")
-        if self.engine not in ("auto", "grid", "walk"):
-            raise ConfigError("engine must be auto, grid or walk")
         if self.model not in ("exp", "n_exp"):
             raise ConfigError("model must be exp or n_exp")
         if not self.heights_list or any(h < 4 for h in self.heights_list):
@@ -204,19 +202,23 @@ def _jsonable(obj):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, float) and math.isinf(obj):
-        return "inf" if obj > 0 else "-inf"
+    if isinstance(obj, (float, np.floating)):
+        obj = float(obj)
+        if math.isnan(obj):
+            return None
+        if math.isinf(obj):
+            return "inf" if obj > 0 else "-inf"
     return obj
 
 
 def json_text(obj) -> str:
-    return json.dumps(_jsonable(obj), sort_keys=True, indent=2) + "\n"
+    """Strict JSON: NaN is written as null and infinities as strings."""
+    return json.dumps(_jsonable(obj), sort_keys=True, indent=2,
+                      allow_nan=False) + "\n"
 
 
 def csv_text(header: list[str], rows: list[tuple]) -> str:
@@ -325,7 +327,7 @@ def cmd_onearm(config: RunConfig, pool_map) -> int:
     for i, n in enumerate(config.n_list):
         est = estimators.estimate_one_arm(
             n, config.t, config.phi, config.samples, config.half_plane,
-            clocks.derive_seed(config.seed, 1000 + i), config.engine, pool_map)
+            clocks.derive_seed(config.seed, 1000 + i), pool_map=pool_map)
         rows.append(_estimate_row(n, est))
         points.append((n, est))
     rundir.add("onearm.csv",
@@ -458,143 +460,38 @@ def cmd_heights(config: RunConfig, pool_map) -> int:
 # Invariant verification
 
 
-def _verify_fire_invariants(config: RunConfig) -> dict:
-    """Domination, boundary vacancy, growth and destruction provenance."""
-    window = Window(-12, 12, 0, 10)
-    sigma_shift = 1 if config.corrupt_streams else 0
-    failures = []
-    n_runs = config.verify_runs
-    for i in range(n_runs):
-        seed = clocks.derive_seed(config.seed, 40_000 + i)
-        ctx_seed = seed + sigma_shift
-        state, records = _collected_run(window, seed)
-        events = state["events"]
-        arrivals = clocks.first_arrival_grid(ctx_seed, window)
-        sigma_end = arrivals <= config.t_end
-        if (state["occ"].astype(bool) & ~sigma_end).any():
-            failures.append(f"run {i}: domination violated at t_end")
-            break
-        probe_ts = [config.t_end * (j + 1) / 5.0 for j in range(5)]
-        for t in probe_ts:
-            occ_t = firesim.reconstruct_occupancy(window, events, records, t)
-            if occ_t[0, :].any():
-                failures.append(f"run {i}: boundary row occupied at t={t:.4f}")
-                break
-            if (occ_t.astype(bool) & ~(arrivals <= t)).any():
-                failures.append(f"run {i}: domination violated at t={t:.4f}")
-                break
-        if failures:
-            break
-        for ev in events:
-            if ev.kind != "grow":
-                continue
-            jl = clocks.jumps_in(seed, ev.site, 0.0, config.t_end)
-            if ev.site[1] < 1 or ev.time not in jl:
-                failures.append(f"run {i}: growth without a clock jump at {ev.site}")
-                break
-        if failures:
-            break
-        for rec in records:
-            jl = clocks.jumps_in(seed, rec.ignition, 0.0, config.t_end)
-            if rec.time not in jl:
-                failures.append(f"run {i}: ignition clock silent at t={rec.time:.6f}")
-                break
-            destroyed = {(int(k), int(l)) for k, l in rec.sites}
-            if rec.ignition not in outer_boundary(destroyed, half_plane=True):
-                failures.append(f"run {i}: ignition site not on the cluster boundary")
-                break
-            occ_before = firesim.reconstruct_occupancy(window, events, records,
-                                                       rec.time, strict=True)
-            for s in destroyed:
-                if not occ_before[window.index(s)]:
-                    failures.append(f"run {i}: destroyed site {s} was vacant")
-                    break
-            if failures:
-                break
-        if failures:
-            break
-    return {"name": "fire-invariants", "runs": n_runs,
-            "ok": not failures, "failures": failures}
-
-
-def _collected_run(window: Window, seed: int):
-    state, records = firesim.run(window, seed, T_C, collect_events=True)
-    return {"occ": state.occ, "events": state.events}, records
-
-
-def _verify_two_state(config: RunConfig) -> dict:
-    """Single-interior-site destruction probability against the two-state
-    chain: P[>=1 destruction by t] = (1 - exp(-t))^2."""
-    window = Window(0, 1, 0, 1)
-    mask = np.zeros((2, 2), dtype=bool)
-    mask[0, 0] = mask[0, 1] = True   # boundary igniters (0,0), (1,0)
-    mask[1, 0] = True                # single interior site (0,1)
-    n_runs = max(4000, config.verify_runs * 40)
-    hits = 0
-    for i in range(n_runs):
-        seed = clocks.derive_seed(config.seed, 90_000 + i)
-        _, records = firesim.run(window, seed, T_C, mask=mask)
-        hits += bool(records)
-    p_hat = hits / n_runs
-    p_true = (1.0 - math.exp(-T_C)) ** 2
-    se = math.sqrt(p_true * (1.0 - p_true) / n_runs)
-    ok = abs(p_hat - p_true) <= 4.0 * se
-    return {"name": "two-state-oracle", "runs": n_runs, "p_hat": p_hat,
-            "p_true": p_true, "ok": bool(ok), "failures":
-            [] if ok else [f"|{p_hat:.4f} - {p_true:.4f}| > 4 SE"]}
-
-
-def _verify_connection_oracle(config: RunConfig) -> dict:
-    """Incremental first-connection times against full reconnectivity checks."""
-    failures = []
-    n_cases = 40
-    for i in range(n_cases):
-        seed = clocks.derive_seed(config.seed, 70_000 + i)
-        n = 3 + (i % 3)
-        surface = percolation.RhombusSurface((0, 0), n, config.phi)
-        window = percolation.window_for_rhombus((0, 0), n, config.phi, True)
-        t_inc = percolation.first_connection_time((0, 0), surface, window, seed)
-        t_def = _definitional_connection_time((0, 0), surface, window, seed)
-        if t_inc != t_def:
-            failures.append(f"case {i}: incremental {t_inc} != definitional {t_def}")
-            break
-    return {"name": "first-connection-oracle", "cases": n_cases,
-            "ok": not failures, "failures": failures}
-
-
-def _definitional_connection_time(w, target, window, seed):
-    arrivals = clocks.first_arrival_grid(seed, window)
-    times = sorted(float(t) for t in np.unique(arrivals) if t <= T_C)
-    for t in times:
-        config = percolation.GrowthConfiguration(window, t, True, arrivals <= t, seed)
-        if percolation.is_connected(w, target, config):
-            return t
-    return None
-
-
-def _verify_engines(config: RunConfig) -> dict:
-    failures = []
-    n_cases = 60
-    for i in range(n_cases):
-        seed = clocks.derive_seed(config.seed, 80_000 + i)
-        n = 3 + (i % 5)
-        t = 0.3 + 0.05 * (i % 8)
-        a = percolation.one_arm_indicator(n, t, config.phi, seed, True, "grid")
-        b = percolation.one_arm_indicator(n, t, config.phi, seed, True, "walk")
-        if a != b:
-            failures.append(f"case {i}: grid={a} walk={b}")
-            break
-    return {"name": "engine-equivalence", "cases": n_cases,
-            "ok": not failures, "failures": failures}
+def _check(name: str, failures: list[str], **counts) -> dict:
+    # The report keeps the first failure of each check.
+    return {"name": name, **counts, "ok": not failures, "failures": failures[:1]}
 
 
 def cmd_verify(config: RunConfig) -> int:
     rundir = RunDirectory(config, "verify")
+
+    def seeds(offset: int, n: int) -> list[int]:
+        return [clocks.derive_seed(config.seed, offset + i) for i in range(n)]
+
+    runs = config.verify_runs
+    window = Window(-12, 12, 0, 10)
+    probes = [config.t_end * (j + 1) / 5.0 for j in range(5)]
+    shift = 1 if config.corrupt_streams else 0
+    fire = [f"run {i}: {f}" for i, seed in enumerate(seeds(40_000, runs))
+            for f in invariants.fire_run_failures(window, seed, config.t_end,
+                                                  probes, seed + shift)]
+    n_two = max(4000, runs * 40)
+    p_hat, two = invariants.two_state_check(seeds(90_000, n_two),
+                                            invariants.TWO_STATE_P, 4.0)
+    conn = invariants.connection_failures(
+        [(seed, 3 + i % 3) for i, seed in enumerate(seeds(70_000, 40))], config.phi)
+    engines = invariants.engine_failures(
+        [(seed, 3 + i % 5, 0.3 + 0.05 * (i % 8), True)
+         for i, seed in enumerate(seeds(80_000, 60))], config.phi)
     checks = [
-        _verify_fire_invariants(config),
-        _verify_two_state(config),
-        _verify_connection_oracle(config),
-        _verify_engines(config),
+        _check("fire-invariants", fire, runs=runs),
+        _check("two-state-oracle", two, runs=n_two, p_hat=p_hat,
+               p_true=invariants.TWO_STATE_P),
+        _check("first-connection-oracle", conn, cases=40),
+        _check("engine-equivalence", engines, cases=60),
     ]
     ok = all(c["ok"] for c in checks)
     report = {"ok": ok, "checks": checks,
@@ -638,7 +535,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--t-end", dest="t_end", type=float, default=None)
         p.add_argument("--t", type=float, default=None)
         p.add_argument("--half-plane", dest="half_plane", type=str, default=None)
-        p.add_argument("--engine", type=str, default=None)
         p.add_argument("--model", type=str, default=None)
         p.add_argument("--region", type=str, default=None)
         p.add_argument("--heights-list", dest="heights_list", type=str, default=None)
@@ -687,21 +583,17 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    pool_map = _PoolMap(config.resolved_threads())
+    pool_map = None
     try:
         if args.command == "simulate":
             return cmd_simulate(config)
-        if args.command == "onearm":
-            return cmd_onearm(config, pool_map)
-        if args.command == "xiscan":
-            return cmd_xiscan(config, pool_map)
-        if args.command == "events":
-            return cmd_events(config, pool_map)
-        if args.command == "heights":
-            return cmd_heights(config, pool_map)
         if args.command == "verify":
             return cmd_verify(config)
-        raise AssertionError(f"unhandled command {args.command}")
+        # Only the Monte-Carlo commands map samples over a worker pool.
+        pooled = {"onearm": cmd_onearm, "xiscan": cmd_xiscan,
+                  "events": cmd_events, "heights": cmd_heights}
+        pool_map = _PoolMap(config.resolved_threads())
+        return pooled[args.command](config, pool_map)
     except FitError as exc:
         print(f"degenerate fit: {exc}", file=sys.stderr)
         return EXIT_FIT
@@ -712,7 +604,8 @@ def main(argv=None) -> int:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     finally:
-        pool_map.close()
+        if pool_map is not None:
+            pool_map.close()
 
 
 if __name__ == "__main__":

@@ -9,7 +9,6 @@ consistent under horizon extension.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,36 +53,11 @@ def derive_seed(base_seed: int, index: int) -> int:
     return mix64(((base_seed & MASK64) * GOLDEN + 2 * index + 1) & MASK64)
 
 
-@dataclass(frozen=True)
-class Horizon:
-    """Right endpoint of the simulated time interval, capped at t_c."""
-
-    t_end: float = T_C
-
-    def __post_init__(self):
-        if not self.t_end > 0.0:
-            raise ValueError("horizon must be positive")
-
-
-@dataclass(frozen=True)
-class ClockRealization:
-    """One site's clock restricted to a horizon."""
-
-    first_arrival: float | None
-    jump_times: tuple[float, ...]
-
-
 def _gap(seed: int, site: Site, j: int) -> float:
     # np.log1p (not math.log1p): the scalar and grid paths must produce
     # bit-identical gaps, and numpy's scalar kernel matches its array kernel
     # while libm differs by 1 ulp on ~0.7% of inputs.
     return -float(np.log1p(-uniform(seed, site, j)))
-
-
-def first_arrival(seed: int, site: Site, t_end: float = T_C) -> float | None:
-    """First jump time if it is <= t_end, else None."""
-    t = _gap(seed, site, 0)
-    return t if t <= t_end else None
 
 
 def first_arrival_value(seed: int, site: Site) -> float:
@@ -110,11 +84,6 @@ def jumps_in(seed: int, site: Site, t_from: float, t_to: float) -> list[float]:
         if t > t_from:
             out.append(t)
         j += 1
-
-
-def realization(seed: int, site: Site, horizon: Horizon = Horizon()) -> ClockRealization:
-    jumps = jumps_in(seed, site, 0.0, horizon.t_end)
-    return ClockRealization(jumps[0] if jumps else None, tuple(jumps))
 
 
 def next_jump_after(seed: int, site: Site, t: float, t_end: float) -> float | None:
@@ -153,11 +122,3 @@ def uniform_grid(seed: int, window: Window, j: int = 0) -> np.ndarray:
 def first_arrival_grid(seed: int, window: Window) -> np.ndarray:
     """First jump times for all window sites, shape (n_rows, n_cols)."""
     return -np.log1p(-uniform_grid(seed, window, 0))
-
-
-def gap_matrix(seed: int, window: Window, n_gaps: int) -> np.ndarray:
-    """First ``n_gaps`` exponential gaps per site, shape (n_gaps, rows, cols)."""
-    gaps = np.empty((n_gaps,) + (window.n_rows, window.n_cols))
-    for j in range(n_gaps):
-        gaps[j] = -np.log1p(-uniform_grid(seed, window, j))
-    return gaps

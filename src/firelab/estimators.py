@@ -28,8 +28,8 @@ from scipy import stats
 
 from . import clocks, firesim, percolation
 from .clocks import T_C, derive_seed
-from .lattice import (ConeRegion, RhombusSurface, Site, TubeRegion, Window,
-                      half_plane_neighbors)
+from .lattice import (GRID_OFFSETS, ConeRegion, RhombusSurface, Site, TubeRegion,
+                      Window, half_plane_neighbors)
 from .percolation import (
     BELOW_FLOOR,
     _connection_time_floor,
@@ -413,7 +413,7 @@ class _ConeConnectionObserver:
         touches = idx in self.w_neighbors
         if not touches:
             r, c = idx
-            for dl, dk in firesim._OFFSETS:
+            for dl, dk in GRID_OFFSETS:
                 rr, cc = r + dl, c + dk
                 if 0 <= rr < ctx.n_rows and 0 <= cc < ctx.n_cols and self.in_R[rr, cc]:
                     touches = True
@@ -429,7 +429,7 @@ class _ConeConnectionObserver:
             if self.near_cone[r, c]:
                 self.found_time = t
                 return True
-            for dl, dk in firesim._OFFSETS:
+            for dl, dk in GRID_OFFSETS:
                 rr, cc = r + dl, c + dk
                 if (0 <= rr < ctx.n_rows and 0 <= cc < ctx.n_cols
                         and occ[rr, cc] and not self.in_R[rr, cc]):
@@ -468,17 +468,6 @@ def sample_event_a(seed: int, params: EventParams,
     obs = _ConeConnectionObserver(win, w, params.cone())
     firesim.run(win, seed, t_end=j_last, observer=obs)
     return obs.found_time is not None and obs.found_time < j_last
-
-
-def estimate_event_A(params: EventParams, samples: int, base_seed: int,
-                     window: Window | None = None, side: str = "right",
-                     pool_map=None) -> EstimateResult:
-    """Fire-process cone connection with a later jump of w's clock."""
-    params = _resolve_side(params, side)
-    seeds = [derive_seed(base_seed, i) for i in range(samples)]
-    hits = sum(_pmap(pool_map, partial(sample_event_a, params=params,
-                                       window=window), seeds))
-    return make_estimate(hits, samples)
 
 
 @dataclass

@@ -23,6 +23,7 @@ from scipy import ndimage
 from . import clocks
 from .clocks import T_C
 from .lattice import (
+    GRID_OFFSETS,
     SQRT3_2,
     TRI_STRUCTURE,
     ConeRegion,
@@ -30,8 +31,6 @@ from .lattice import (
     TubeRegion,
     Window,
 )
-
-_OFFSETS = ((0, 1), (0, -1), (1, 0), (-1, 0), (-1, 1), (1, -1))  # (dl, dk)
 
 
 class UncertifiedCellError(ValueError):
@@ -84,6 +83,8 @@ class FireState:
     t_end: float
     mask: np.ndarray | None = field(default=None, repr=False)
     events: list | None = field(default=None, repr=False)
+    # First clock arrivals on the window, hashed once per run.
+    arrivals: np.ndarray | None = field(default=None, repr=False)
 
     def occupied(self, site: Site) -> bool:
         return bool(self.occ[self.window.index(site)])
@@ -113,7 +114,7 @@ def run(window: Window, seed: int, t_end: float = T_C,
         raise ValueError("forest-fire windows live on the half-plane, l_min = 0")
     ctx = _FireRun(window, seed, t_end, mask, observer, collect_events)
     ctx.execute()
-    state = FireState(window, ctx.occ, t_end, mask, ctx.events)
+    state = FireState(window, ctx.occ, t_end, mask, ctx.events, ctx.arrivals)
     return state, ctx.records
 
 
@@ -132,7 +133,7 @@ class _FireRun:
         n_rows, n_cols = window.n_rows, window.n_cols
         self.n_cols = n_cols
         self.n_rows = n_rows
-        arrivals = clocks.first_arrival_grid(seed, window)
+        self.arrivals = arrivals = clocks.first_arrival_grid(seed, window)
         self.occ = np.zeros((n_rows, n_cols), dtype=np.uint8)
         if mask is None:
             mask = np.ones((n_rows, n_cols), dtype=bool)
@@ -243,7 +244,7 @@ class _FireRun:
             while stack:
                 rr, cc = stack.popleft()
                 burned.append((cc + k_min, rr + l_min))
-                for dl, dk in _OFFSETS:
+                for dl, dk in GRID_OFFSETS:
                     r2, c2 = rr + dl, cc + dk
                     if 0 <= r2 < n_rows and 0 <= c2 < n_cols and occ[r2, c2]:
                         occ[r2, c2] = 0
@@ -326,11 +327,11 @@ class FireCell:
         return m
 
 
-def _decompose(window: Window, seed: int):
-    """Label the t_c snapshot; returns (cells, label grid)."""
+def _decompose(window: Window, arrivals: np.ndarray):
+    """Label the t_c snapshot of the window's first-arrival grid; returns
+    (cells, label grid)."""
     if window.l_min != 0:
         raise ValueError("cell decomposition lives on half-plane windows")
-    arrivals = clocks.first_arrival_grid(seed, window)
     occ = arrivals <= T_C
     labels, n_lab = ndimage.label(occ, structure=TRI_STRUCTURE)
     cells = []
@@ -366,7 +367,7 @@ def _decompose(window: Window, seed: int):
 def decompose_cells(window: Window, seed: int) -> list[FireCell]:
     """Fire cells of the window under a seed: cores are exactly the
     clusters of the growth snapshot at t_c."""
-    return _decompose(window, seed)[0]
+    return _decompose(window, clocks.first_arrival_grid(seed, window))[0]
 
 
 def run_cell(cell: FireCell, seed: int, t_end: float = T_C):
@@ -429,13 +430,12 @@ def height_bracket(window: Window, seed: int, region: ConeRegion | TubeRegion,
     the non-strict flag, the bracket covers the records that the window's
     own run produces.
     """
-    _, records = run(window, seed, T_C)
-    cells, labels = _decompose(window, seed)
+    state, records = run(window, seed, T_C)
+    cells, labels = _decompose(window, state.arrivals)
     cert = {cell.label: cell.certified for cell in cells}
 
     height = lower = 0.0
     record_ok = all_exact = True
-    arrivals = None
     for rec in records:
         hs = rec.heights_in(region)
         if hs.size == 0:
@@ -448,9 +448,7 @@ def height_bracket(window: Window, seed: int, region: ConeRegion | TubeRegion,
             lower = max(lower, top)
             continue
         record_ok = False
-        if arrivals is None:
-            arrivals = clocks.first_arrival_grid(seed, window)
-        if _exact_at_record_time(arrivals, rec, window):
+        if _exact_at_record_time(state.arrivals, rec, window):
             lower = max(lower, top)
         else:
             all_exact = False

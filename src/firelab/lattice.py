@@ -19,27 +19,28 @@ Site = tuple[int, int]
 
 SQRT3_2 = math.sqrt(3.0) / 2.0
 
-# The six unit-distance offsets of the triangular lattice.
+# The six unit-distance offsets ``(dk, dl)`` of the triangular lattice.
 NEIGHBOR_OFFSETS: tuple[Site, ...] = (
     (1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1),
 )
 
-# scipy.ndimage connectivity structure, rows indexed by dl, cols by dk.
-TRI_STRUCTURE = np.array(
-    [[0, 1, 1],
-     [1, 1, 1],
-     [1, 1, 0]], dtype=np.uint8)
+# The same offsets as ``(row, col)`` steps on a window grid (row = l - l_min),
+# in the same order: cluster searches visit neighbours in this order, which
+# fixes the site order of their results.
+GRID_OFFSETS: tuple[tuple[int, int], ...] = tuple(
+    (dl, dk) for dk, dl in NEIGHBOR_OFFSETS)
+
+# scipy.ndimage connectivity structure: the centre plus GRID_OFFSETS on a
+# 3x3 grid, rows indexed by dl, cols by dk.
+TRI_STRUCTURE = np.zeros((3, 3), dtype=np.uint8)
+TRI_STRUCTURE[1, 1] = 1
+TRI_STRUCTURE[tuple(np.array(GRID_OFFSETS).T + 1)] = 1
 
 
 def embed(site: Site) -> tuple[float, float]:
     """Cartesian coordinates of a site."""
     k, l = site
     return (k + 0.5 * l, SQRT3_2 * l)
-
-
-def im_height(site: Site) -> float:
-    """Imaginary part (height) of the embedded site."""
-    return SQRT3_2 * site[1]
 
 
 def neighbors(site: Site) -> list[Site]:
@@ -143,16 +144,6 @@ class ConeRegion:
         x, y = embed(site)
         return self.contains_point(x, y)
 
-    def distance_point(self, x: float, y: float) -> float:
-        """Euclidean distance from a point to the (closed) cone."""
-        if self.contains_point(x, y):
-            return 0.0
-        # Nearer boundary ray; each ray is a half-line from the apex.
-        dx = x - self.apex_x
-        right = _halfline_dist(dx, y, math.cos(self.phi), math.sin(self.phi))
-        left = _halfline_dist(dx, y, -math.cos(self.phi), math.sin(self.phi))
-        return min(right, left)
-
     def half_width_at(self, y: float) -> float:
         return y * self.cot_phi
 
@@ -186,11 +177,6 @@ def _halfline_dist(dx: float, dy: float, ux: float, uy: float) -> float:
     if t <= 0.0:
         return math.hypot(dx, dy)
     return math.hypot(dx - t * ux, dy - t * uy)
-
-
-def region_contains(region, site: Site) -> bool:
-    """Closed-set membership of a site's embedded point in a cone or tube."""
-    return region.contains(site)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from scipy import ndimage
 from . import clocks
 from .clocks import T_C
 from .lattice import (
-    NEIGHBOR_OFFSETS,
+    GRID_OFFSETS,
     SQRT3_2,
     TRI_STRUCTURE,
     ConeRegion,
@@ -143,8 +143,6 @@ def is_connected(w: Site, target, config: GrowthConfiguration) -> bool:
     return bool(np.isin(labels[tmask], sorted(start)).any())
 
 
-_FLAT_OFFSETS = [(dl, dk) for dk, dl in NEIGHBOR_OFFSETS]
-
 BELOW_FLOOR = object()  # sentinel: connection already present at the floor time
 
 
@@ -222,7 +220,7 @@ def _connection_time_floor(w: Site, target, window: Window, seed: int,
         for i in order.tolist():
             active[i] = 1
             r, c = divmod(i, n_cols)
-            for dl, dk in _FLAT_OFFSETS:
+            for dl, dk in GRID_OFFSETS:
                 rr, cc = r + dl, c + dk
                 if 0 <= rr < n_rows and 0 <= cc < n_cols:
                     j = rr * n_cols + cc
@@ -326,91 +324,3 @@ def _one_arm_walk(surface: RhombusSurface, window: Window, t: float,
             if occupied(v):
                 queue.append(v)
     return False
-
-
-def boundary_crossing_terminals(window: Window, x: float) -> tuple[list[Site], list[Site]]:
-    """Boundary-row sites strictly left/right of the abscissa ``x``."""
-    left = [(k, 0) for k in range(window.k_min, window.k_max + 1) if k < x]
-    right = [(k, 0) for k in range(window.k_min, window.k_max + 1) if k > x]
-    return left, right
-
-
-def disjoint_crossings(x: float, window: Window, t: float, seed: int,
-                       path_type: int, config: GrowthConfiguration | None = None) -> int:
-    """Maximum number of vertex-disjoint paths of ``path_type`` sites from
-    the boundary row left of x to the boundary row right of x."""
-    if path_type not in (0, 1):
-        raise ValueError("path_type must be 0 or 1")
-    if not window.k_min < x < window.k_max:
-        raise ValueError("window must straddle x")
-    if window.l_min != 0:
-        raise ValueError("crossing counts live on half-plane windows")
-    if config is None:
-        config = sample_configuration(window, t, seed, half_plane=True)
-    usable = config.occ == bool(path_type)
-    left, right = boundary_crossing_terminals(window, x)
-    sources = [window.index(s) for s in left if usable[window.index(s)]]
-    sinks = [window.index(s) for s in right if usable[window.index(s)]]
-    if not sources or not sinks:
-        return 0
-    return _max_vertex_disjoint(usable, sources, sinks)
-
-
-def _max_vertex_disjoint(usable: np.ndarray, sources: list[tuple[int, int]],
-                         sinks: list[tuple[int, int]]) -> int:
-    """Unit-vertex-capacity max flow via node splitting and BFS augmentation."""
-    n_rows, n_cols = usable.shape
-    n = usable.size
-
-    def vin(i: int) -> int:
-        return 2 * i
-
-    def vout(i: int) -> int:
-        return 2 * i + 1
-
-    src, dst = 2 * n, 2 * n + 1
-    cap: dict[tuple[int, int], int] = {}
-    adj: dict[int, list[int]] = {}
-
-    def add_edge(a: int, b: int, c: int) -> None:
-        if (a, b) not in cap:
-            cap[(a, b)] = 0
-            cap[(b, a)] = 0
-            adj.setdefault(a, []).append(b)
-            adj.setdefault(b, []).append(a)
-        cap[(a, b)] += c
-
-    flat_usable = usable.ravel()
-    for i in np.flatnonzero(flat_usable).tolist():
-        add_edge(vin(i), vout(i), 1)
-        r, c = divmod(i, n_cols)
-        for dl, dk in _FLAT_OFFSETS:
-            rr, cc = r + dl, c + dk
-            if 0 <= rr < n_rows and 0 <= cc < n_cols:
-                j = rr * n_cols + cc
-                if flat_usable[j]:
-                    add_edge(vout(i), vin(j), 1)
-    for (r, c) in sources:
-        add_edge(src, vin(r * n_cols + c), 1)
-    for (r, c) in sinks:
-        add_edge(vout(r * n_cols + c), dst, 1)
-
-    flow = 0
-    while True:
-        parent = {src: src}
-        queue = deque([src])
-        while queue and dst not in parent:
-            u = queue.popleft()
-            for v in adj.get(u, ()):
-                if v not in parent and cap[(u, v)] > 0:
-                    parent[v] = u
-                    queue.append(v)
-        if dst not in parent:
-            return flow
-        v = dst
-        while v != src:
-            u = parent[v]
-            cap[(u, v)] -= 1
-            cap[(v, u)] += 1
-            v = u
-        flow += 1

@@ -8,11 +8,12 @@ the unit tests.
 import hashlib
 import json
 import math
-from collections import defaultdict
+from collections import Counter
+
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from firelab import cli, clocks, estimators, firesim
+from firelab import cli, invariants
 from firelab.clocks import T_C, derive_seed
 from firelab.estimators import (
     EventParams,
@@ -25,7 +26,7 @@ from firelab.estimators import (
     linear_fit,
     scan_xi_exponent,
 )
-from firelab.lattice import SQRT3_2, ConeRegion, Window, outer_boundary
+from firelab.lattice import SQRT3_2, ConeRegion, Window
 
 PHI = math.pi / 3
 
@@ -119,17 +120,11 @@ def test_c6_forest_fire_two_state_oracle():
     sol = solve_ivp(rhs, (0.0, T_C), [1.0, 0.0], rtol=1e-10, atol=1e-12)
     p_true = 1.0 - sol.y[:, -1].sum()
 
-    window = Window(0, 1, 0, 1)
-    mask = np.zeros((2, 2), dtype=bool)
-    mask[0, 0] = mask[0, 1] = mask[1, 0] = True
     n = 100_000
-    hits = 0
-    for i in range(n):
-        _, records = firesim.run(window, derive_seed(606, i), T_C, mask=mask)
-        hits += bool(records)
-    p_hat = hits / n
+    p_hat, failures = invariants.two_state_check(
+        (derive_seed(606, i) for i in range(n)), p_true, 3.0)
     se = math.sqrt(p_true * (1.0 - p_true) / n)
-    ok = abs(p_hat - p_true) <= 3.0 * se
+    ok = not failures
     _report("criterion 6", ok,
             f"mc={p_hat:.5f} oracle={p_true:.5f} |diff|={abs(p_hat-p_true):.5f} "
             f"3se={3*se:.5f}")
@@ -138,39 +133,10 @@ def test_c6_forest_fire_two_state_oracle():
 
 def test_c7_definition_invariants_thousand_runs():
     window = Window(-8, 8, 0, 7)
-    violations = defaultdict(int)
+    violations = Counter()
     for i in range(1000):
-        seed = derive_seed(707, i)
-        state, records = firesim.run(window, seed, T_C, collect_events=True)
-        events = state.events
-        arrivals = clocks.first_arrival_grid(seed, window)
-
-        if state.occ[0, :].any():
-            violations["boundary"] += 1
-        if (state.occ.astype(bool) & ~(arrivals <= T_C)).any():
-            violations["domination"] += 1
-        occ_mid = firesim.reconstruct_occupancy(window, events, records, T_C / 2)
-        if occ_mid[0, :].any():
-            violations["boundary"] += 1
-        if (occ_mid.astype(bool) & ~(arrivals <= T_C / 2)).any():
-            violations["domination"] += 1
-
-        for ev in events:
-            if ev.kind == "grow":
-                if ev.site[1] < 1 or \
-                        ev.time not in clocks.jumps_in(seed, ev.site, 0.0, T_C):
-                    violations["growth"] += 1
-
-        for rec in records:
-            destroyed = {(int(k), int(l)) for k, l in rec.sites}
-            if rec.time not in clocks.jumps_in(seed, rec.ignition, 0.0, T_C):
-                violations["provenance"] += 1
-            if rec.ignition not in outer_boundary(destroyed, half_plane=True):
-                violations["provenance"] += 1
-            occ_before = firesim.reconstruct_occupancy(window, events, records,
-                                                       rec.time, strict=True)
-            if not all(occ_before[window.index(s)] for s in destroyed):
-                violations["occupied-before"] += 1
+        violations.update(invariants.fire_run_failures(
+            window, derive_seed(707, i), T_C, (T_C / 2,)))
 
     ok = not violations
     _report("criterion 7", ok, f"violations={dict(violations)} over 1000 runs")

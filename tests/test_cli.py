@@ -9,6 +9,7 @@ from firelab.cli import (
     EXIT_CONFIG,
     EXIT_INVARIANT,
     EXIT_OK,
+    EXIT_RUNTIME,
     ConfigError,
     RunConfig,
     format_config,
@@ -38,6 +39,8 @@ def test_parse_config_rejects_unknown_key():
         parse_config_text("no_such_key = 3\n")
     with pytest.raises(ConfigError):
         parse_config_text("just a line\n")
+    with pytest.raises(ConfigError):
+        parse_config_text("engine = grid\n")  # removed key
 
 
 def test_parse_config_types(tmp_path):
@@ -54,6 +57,11 @@ def test_parse_config_types(tmp_path):
 def test_invalid_config_produces_no_output(tmp_path):
     out = tmp_path / "run"
     code = cli.main(["simulate", "--out", str(out), "--t-end", "0.9"])
+    assert code == EXIT_CONFIG
+    assert not out.exists()
+    cfg = tmp_path / "engine.cfg"
+    cfg.write_text("engine = walk\n")
+    code = cli.main(["onearm", "--out", str(out), "--config", str(cfg)])
     assert code == EXIT_CONFIG
     assert not out.exists()
 
@@ -103,6 +111,22 @@ def test_onearm_writes_tables(tmp_path):
     assert "loglog_fit" in report
 
 
+def test_json_outputs_are_strict(tmp_path):
+    # A 2-point fit has no slope standard error; strict JSON writes null.
+    out = tmp_path / "oa2"
+    code = cli.main(["onearm", "--out", str(out), "--seed", "2",
+                     "--samples", "200", "--n-list", "4,8", "--t", "0.6"])
+    assert code == EXIT_OK
+
+    def reject(name):
+        raise ValueError(f"non-JSON constant {name}")
+
+    text = (out / "onearm_fit.json").read_text()
+    report = json.loads(text, parse_constant=reject)
+    assert report["loglog_fit"]["slope_se"] is None
+    assert report["loglog_fit"]["slope_ci"] == ["-inf", "inf"]
+
+
 def test_xiscan_synthetic_slope(tmp_path):
     out = tmp_path / "xs"
     code = cli.main(["xiscan", "--synthetic", "--out", str(out)])
@@ -150,6 +174,12 @@ def test_verify_passes_and_is_reproducible(tmp_path):
     assert report["ok"] is True
 
 
+def test_verify_honours_t_end(tmp_path):
+    code = cli.main(["verify", "--seed", "6", "--verify-runs", "12",
+                     "--t-end", "0.5", "--out", str(tmp_path / "vt")])
+    assert code == EXIT_OK
+
+
 def test_verify_negative_control(tmp_path, capsys):
     code = cli.main(["verify", "--seed", "6", "--verify-runs", "12",
                      "--corrupt-streams", "--out", str(tmp_path / "vc")])
@@ -183,3 +213,27 @@ def test_format_config_round_trips():
     config = RunConfig(seed=77, n_list=(3, 9), phi=0.9)
     parsed = parse_config_text(format_config(config))
     assert RunConfig(**parsed) == config
+
+
+def test_resolved_threads_capped_at_cpu_count(monkeypatch):
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    monkeypatch.delenv("FIRELAB_THREADS", raising=False)
+    assert RunConfig(threads=10**6).resolved_threads() == 3
+    assert RunConfig(threads=2).resolved_threads() == 2
+    assert RunConfig().resolved_threads() == 1
+    monkeypatch.setenv("FIRELAB_THREADS", str(10**6))
+    assert RunConfig().resolved_threads() == 3
+
+
+def test_pool_built_only_for_sampling_commands(tmp_path, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise RuntimeError("worker pool started")
+
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(cli, "Pool", no_pool)
+    assert cli.main(["simulate", "--threads", "2", "--seed", "3",
+                     "--window-width", "8", "--window-height", "6",
+                     "--out", str(tmp_path / "s")]) == EXIT_OK
+    # onearm maps its samples, so it asks for the pool.
+    assert cli.main(["onearm", "--threads", "2", "--samples", "4",
+                     "--n-list", "3", "--out", str(tmp_path / "o")]) == EXIT_RUNTIME

@@ -5,13 +5,13 @@ import pytest
 from scipy import stats
 
 from firelab import clocks
-from firelab.clocks import T_C, Horizon
+from firelab.clocks import T_C
 from firelab.lattice import Window
 
 
 def test_determinism():
     key = (1234, (5, -3))
-    assert clocks.first_arrival(*key) == clocks.first_arrival(*key)
+    assert clocks.first_arrival_value(*key) == clocks.first_arrival_value(*key)
     assert clocks.jumps_in(1234, (5, -3), 0.0, 2.0) == clocks.jumps_in(1234, (5, -3), 0.0, 2.0)
 
 
@@ -48,13 +48,10 @@ def test_occupation_probability_short_horizon():
 
 def test_first_arrival_horizon_and_realization():
     site = (4, 9)
+    # The first arrival is the first jump, and a horizon below it holds none.
     t = clocks.first_arrival_value(777, site)
-    assert clocks.first_arrival(777, site, t_end=t + 1e-9) == t
-    assert clocks.first_arrival(777, site, t_end=t / 2) is None
-    real = clocks.realization(777, site, Horizon(4.0))
-    assert real.jump_times == tuple(clocks.jumps_in(777, site, 0.0, 4.0))
-    if real.jump_times:
-        assert real.first_arrival == real.jump_times[0]
+    assert clocks.jumps_in(777, site, 0.0, t + 1e-9)[0] == t
+    assert clocks.jumps_in(777, site, 0.0, t / 2) == []
 
 
 def test_jumps_strictly_increasing_and_positive():
@@ -96,7 +93,8 @@ def test_adjacent_site_count_correlation():
     # Jump counts over (0, t_c] for horizontally adjacent sites; eight gaps
     # bound the count: P[Poisson(log 2) > 8] < 1e-9.
     window = Window(0, 199_999, 0, 1)
-    gaps = clocks.gap_matrix(8888, window, 8)
+    gaps = np.stack([-np.log1p(-clocks.uniform_grid(8888, window, j))
+                     for j in range(8)])
     cum = np.cumsum(gaps, axis=0)
     counts = (cum <= T_C).sum(axis=0)
     a, b = counts[0].astype(np.float64), counts[1].astype(np.float64)
@@ -122,11 +120,6 @@ def test_jumps_in_validates_interval():
         clocks.jumps_in(1, (0, 0), 1.0, 1.0)
     with pytest.raises(ValueError):
         clocks.jumps_in(1, (0, 0), -0.5, 1.0)
-
-
-def test_horizon_validation():
-    with pytest.raises(ValueError):
-        Horizon(0.0)
 
 
 def test_streams_unbiased_at_extreme_keys():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from collections import defaultdict
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from firelab import clocks, firesim
+from firelab import clocks, firesim, invariants
 from firelab.clocks import T_C
 from firelab.firesim import (
     DestructionRecord,
@@ -22,14 +23,6 @@ from firelab.lattice import ConeRegion, Window, outer_boundary
 
 PHI = math.pi / 3
 SQ3 = math.sqrt(3.0)
-
-
-def three_site_mask():
-    # Interior site (0,1) with boundary igniters (0,0) and (1,0).
-    window = Window(0, 1, 0, 1)
-    mask = np.zeros((2, 2), dtype=bool)
-    mask[0, 0] = mask[0, 1] = mask[1, 0] = True
-    return window, mask
 
 
 def destruction_free_probability(t_end: float) -> float:
@@ -53,15 +46,10 @@ def test_two_state_oracle_closed_form():
 
 
 def test_single_interior_site_destruction_probability():
-    window, mask = three_site_mask()
-    n = 20_000
-    hits = 0
-    for i in range(n):
-        _, records = run(window, clocks.derive_seed(606, i), T_C, mask=mask)
-        hits += bool(records)
-    p_true = destruction_free_probability(T_C)
-    se = math.sqrt(p_true * (1 - p_true) / n)
-    assert abs(hits / n - p_true) <= 3 * se
+    seeds = (clocks.derive_seed(606, i) for i in range(20_000))
+    _, failures = invariants.two_state_check(
+        seeds, destruction_free_probability(T_C), 3.0)
+    assert failures == []
 
 
 def test_no_boundary_ring_means_pure_growth():
@@ -107,38 +95,38 @@ def test_run_deterministic():
 def test_invariant_suite():
     """Domination, boundary vacancy, growth and destruction provenance."""
     window = Window(-8, 8, 0, 7)
+    probes = [T_C * frac for frac in (0.2, 0.5, 0.8)]
     for i in range(120):
         seed = clocks.derive_seed(2001, i)
-        state, records = run(window, seed, T_C, collect_events=True)
-        events = state.events
-        arrivals = clocks.first_arrival_grid(seed, window)
+        assert invariants.fire_run_failures(window, seed, T_C, probes) == []
 
-        assert not state.occ[0, :].any()
-        assert not (state.occ.astype(bool) & ~(arrivals <= T_C)).any()
 
-        for frac in (0.2, 0.5, 0.8):
-            t = T_C * frac
-            occ_t = reconstruct_occupancy(window, events, records, t)
-            assert not occ_t[0, :].any()
-            assert not (occ_t.astype(bool) & ~(arrivals <= t)).any()
+def test_fire_log_checker_reports_corrupted_logs():
+    window = Window(-8, 8, 0, 7)
+    seed = clocks.derive_seed(2002, 0)
+    state, records = run(window, seed, T_C, collect_events=True)
+    assert records
+    assert invariants.fire_log_failures(state, records, seed) == []
 
-        for ev in events:
-            if ev.kind != "grow":
-                continue
-            assert ev.site[1] >= 1
-            assert ev.time in clocks.jumps_in(seed, ev.site, 0.0, T_C)
+    # A grow event moved off its clock jump.
+    events = list(state.events)
+    g = next(i for i, ev in enumerate(events) if ev.kind == "grow")
+    moved = dataclasses.replace(events[g], time=events[g].time * (1.0 - 1e-9))
+    events[g] = moved
+    got = invariants.fire_log_failures(
+        dataclasses.replace(state, events=events), records, seed)
+    assert got == [f"growth without a clock jump at {moved.site}"]
 
-        for rec in records:
-            assert rec.ignition[1] == 0
-            assert rec.time in clocks.jumps_in(seed, rec.ignition, 0.0, T_C)
-            destroyed = {(int(k), int(l)) for k, l in rec.sites}
-            assert destroyed
-            assert all(l >= 1 for _, l in destroyed)
-            assert rec.ignition in outer_boundary(destroyed, half_plane=True)
-            occ_before = reconstruct_occupancy(window, events, records,
-                                               rec.time, strict=True)
-            for s in destroyed:
-                assert occ_before[window.index(s)]
+    # A destroyed site left vacant just before its record: drop its last
+    # grow event before the record.
+    rec = records[0]
+    site = (int(rec.sites[0, 0]), int(rec.sites[0, 1]))
+    g = max(i for i, ev in enumerate(state.events)
+            if ev.kind == "grow" and ev.site == site and ev.time < rec.time)
+    events = state.events[:g] + state.events[g + 1:]
+    got = invariants.fire_log_failures(
+        dataclasses.replace(state, events=events), records, seed)
+    assert got == [f"destroyed site {site} was vacant at t={rec.time:.6f}"]
 
 
 def test_destroyed_sites_regrow():
@@ -354,7 +342,7 @@ def test_certified_height_strict_monotone_under_window_growth():
     from firelab.firesim import _decompose, region_select
 
     def strict_ok(window, seed):
-        cells, _ = _decompose(window, seed)
+        cells, _ = _decompose(window, clocks.first_arrival_grid(seed, window))
         for cell in cells:
             if cell.certified:
                 continue
@@ -394,7 +382,7 @@ def test_record_time_rule_exact_records_survive_window_doubling():
         _, big_records = run(big, seed, T_C)
         big_keys = {key(rec) for rec in big_records}
         arrivals = clocks.first_arrival_grid(seed, small)
-        cells, labels = _decompose(small, seed)
+        cells, labels = _decompose(small, arrivals)
         cert = {cell.label: cell.certified for cell in cells}
         for rec in records:
             if not _exact_at_record_time(arrivals, rec, small):

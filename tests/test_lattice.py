@@ -12,15 +12,11 @@ from firelab.lattice import (
     Window,
     dist_to_rhombus_surface,
     embed,
-    im_height,
     near_surface_mask,
     neighbors,
     outer_boundary,
-    region_contains,
     seg_dist_sq,
 )
-
-SQ3 = math.sqrt(3.0)
 
 
 def test_neighbors_origin():
@@ -87,8 +83,8 @@ def _cone_membership_by_basis(cone, site):
 
 def test_cone_membership_examples():
     cone = ConeRegion(0.0, math.pi / 3)
-    assert region_contains(cone, (0, 1))      # z = e^{i pi/3}
-    assert not region_contains(cone, (2, 1))  # basis solution has b = -2
+    assert cone.contains((0, 1))      # z = e^{i pi/3}
+    assert not cone.contains((2, 1))  # basis solution has b = -2
 
 
 def test_cone_membership_matches_basis_solution():
@@ -97,7 +93,7 @@ def test_cone_membership_matches_basis_solution():
         cone = ConeRegion(rng.uniform(-3, 3), rng.uniform(0.2, 1.4))
         for _ in range(50):
             site = (rng.randint(-30, 30), rng.randint(0, 30))
-            assert region_contains(cone, site) == _cone_membership_by_basis(cone, site)
+            assert cone.contains(site) == _cone_membership_by_basis(cone, site)
 
 
 def test_cone_monotone_in_angle():
@@ -107,14 +103,14 @@ def test_cone_monotone_in_angle():
         phi2 = rng.uniform(phi1, 1.5)
         wide, narrow = ConeRegion(0.0, phi1), ConeRegion(0.0, phi2)
         site = (rng.randint(-20, 20), rng.randint(0, 20))
-        if region_contains(narrow, site):
-            assert region_contains(wide, site)
+        if narrow.contains(site):
+            assert wide.contains(site)
 
 
 def test_tube_membership_examples():
     tube = TubeRegion(0.0, math.pi / 2)
-    assert region_contains(tube, (-1, 2))      # z = i sqrt(3), on the center line
-    assert not region_contains(tube, (0, 2))   # z = 1 + i sqrt(3), distance 1
+    assert tube.contains((-1, 2))      # z = i sqrt(3), on the center line
+    assert not tube.contains((0, 2))   # z = 1 + i sqrt(3), distance 1
 
 
 def test_tube_distance_below_start():
@@ -180,12 +176,6 @@ def test_near_surface_mask_matches_scalar():
 
 def test_seg_dist_degenerate_segment():
     assert seg_dist_sq(1.0, 1.0, 0.0, 0.0, 0.0, 0.0) == pytest.approx(2.0)
-
-
-def test_im_height():
-    assert im_height((7, 0)) == 0.0
-    assert im_height((0, 2)) == pytest.approx(SQ3)
-    assert im_height((-3, 5)) == pytest.approx(5 * SQ3 / 2)
 
 
 def test_window_validation_and_indexing():

@@ -4,13 +4,12 @@ import random
 import numpy as np
 import pytest
 
-from firelab import clocks
+from firelab import clocks, invariants
 from firelab.clocks import T_C
 from firelab.lattice import RhombusSurface, Window, neighbors
 from firelab.percolation import (
     GrowthConfiguration,
     WindowTooSmallError,
-    disjoint_crossings,
     first_connection_time,
     is_connected,
     one_arm_indicator,
@@ -158,19 +157,8 @@ def test_first_connection_time_matches_path_enumeration():
 
 def test_first_connection_time_matches_definitional_recompute():
     # Recompute by full relabeling at every candidate arrival time.
-    surface = RhombusSurface((0, 0), 3, PHI)
-    window = window_for_rhombus((0, 0), 3, PHI, True)
-    for i in range(1000):
-        seed = clocks.derive_seed(29, i)
-        got = first_connection_time((0, 0), surface, window, seed, t_max=T_C)
-        arrivals = clocks.first_arrival_grid(seed, window)
-        want = None
-        for t in sorted(np.unique(arrivals[arrivals <= T_C]).tolist()):
-            config = GrowthConfiguration(window, t, True, arrivals <= t, seed)
-            if is_connected((0, 0), surface, config):
-                want = t
-                break
-        assert got == want
+    cases = [(clocks.derive_seed(29, i), 3) for i in range(1000)]
+    assert invariants.connection_failures(cases, PHI) == []
 
 
 def test_first_connection_single_site_path():
@@ -225,13 +213,13 @@ def test_one_arm_tiny_rhombus_large_time():
 
 def test_one_arm_engines_agree():
     rng = random.Random(1)
+    cases = []
     for i in range(250):
         n = rng.randint(2, 8)
         t = rng.uniform(0.2, T_C)
         half = rng.random() < 0.7
-        seed = clocks.derive_seed(63, i)
-        assert one_arm_indicator(n, t, PHI, seed, half, "grid") == \
-            one_arm_indicator(n, t, PHI, seed, half, "walk")
+        cases.append((clocks.derive_seed(63, i), n, t, half))
+    assert invariants.engine_failures(cases, PHI) == []
 
 
 def test_half_plane_implies_full_plane_samplewise():
@@ -240,100 +228,3 @@ def test_half_plane_implies_full_plane_samplewise():
         seed = clocks.derive_seed(71, i)
         if one_arm_indicator(4, T_C, PHI, seed, half_plane=True):
             assert one_arm_indicator(4, T_C, PHI, seed, half_plane=False)
-
-
-# ---------------------------------------------------------------------------
-# Disjoint crossings
-
-
-def _brute_force_max_disjoint(usable_sites, sources, sinks):
-    """Backtracking search for the maximum number of vertex-disjoint paths."""
-    usable = set(usable_sites)
-
-    def paths_from(src, blocked):
-        # All simple sink-terminated paths from src avoiding blocked sites.
-        out = []
-        stack = [(src, [src])]
-        while stack:
-            site, path = stack.pop()
-            if site in sinks:
-                out.append(path)
-                continue
-            for v in neighbors(site):
-                if v in usable and v not in blocked and v not in path:
-                    stack.append((v, path + [v]))
-        return out
-
-    def best_packing(remaining_sources, blocked):
-        best = 0
-        for idx, src in enumerate(remaining_sources):
-            if src in blocked:
-                continue
-            for path in paths_from(src, blocked):
-                sub = best_packing(remaining_sources[idx + 1:], blocked | set(path))
-                best = max(best, 1 + sub)
-        return best
-
-    return best_packing(list(sources), set())
-
-
-def test_disjoint_crossings_all_vacant_structure():
-    window = Window(0, 4, 0, 2)
-    config = hand_config(window, [], t=0.0)
-    # Every site is a 0-site; two sources force the answer 2.
-    got = disjoint_crossings(2.5, window, 0.0, seed=1, path_type=0, config=config)
-    usable = set(window.sites())
-    sources = {(0, 0), (1, 0), (2, 0)}
-    sinks = {(3, 0), (4, 0)}
-    want = _brute_force_max_disjoint(usable, sources, sinks)
-    assert got == want == 2
-
-
-def test_disjoint_crossings_all_vacant_no_one_paths():
-    window = Window(0, 4, 0, 2)
-    config = hand_config(window, [], t=0.0)
-    assert disjoint_crossings(2.5, window, 0.0, seed=1, path_type=1, config=config) == 0
-
-
-def test_disjoint_crossings_fixed_config_brute_force():
-    window = Window(0, 5, 0, 5)
-    occupied = [(0, 0), (1, 0), (2, 1), (1, 1), (3, 1), (4, 0), (3, 0),
-                (2, 3), (0, 2), (4, 2), (2, 0), (5, 1)]
-    config = hand_config(window, occupied, t=0.5)
-    x = 2.5
-    got = disjoint_crossings(x, window, 0.5, seed=1, path_type=1, config=config)
-    sources = {(k, 0) for k in range(0, 6) if k < x and (k, 0) in set(occupied)}
-    sinks = {(k, 0) for k in range(0, 6) if k > x and (k, 0) in set(occupied)}
-    want = _brute_force_max_disjoint(set(occupied), sources, sinks)
-    assert got == want
-
-
-def test_disjoint_crossings_random_config_brute_force():
-    rng = random.Random(17)
-    window = Window(0, 5, 0, 3)
-    for _ in range(25):
-        occupied = [s for s in window.sites() if rng.random() < 0.5]
-        config = hand_config(window, occupied, t=0.5)
-        got = disjoint_crossings(2.5, window, 0.5, seed=1, path_type=1, config=config)
-        sources = {(k, 0) for k in range(6) if k < 2.5 and (k, 0) in set(occupied)}
-        sinks = {(k, 0) for k in range(6) if k > 2.5 and (k, 0) in set(occupied)}
-        want = _brute_force_max_disjoint(set(occupied), sources, sinks)
-        assert got == want
-
-
-def test_disjoint_crossings_grow_with_width():
-    # Vacant crossings at t_c: wider windows admit at least as many in the
-    # median over seeds.
-    counts = {}
-    for half_w in (6, 14):
-        window = Window(-half_w, half_w, 0, 6)
-        vals = [disjoint_crossings(0.5, window, T_C, clocks.derive_seed(3, i), 0)
-                for i in range(40)]
-        counts[half_w] = float(np.median(vals))
-    assert counts[14] >= counts[6]
-
-
-def test_disjoint_crossings_validates_straddle():
-    window = Window(0, 4, 0, 2)
-    with pytest.raises(ValueError):
-        disjoint_crossings(9.0, window, 0.3, seed=1, path_type=0)
