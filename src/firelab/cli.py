@@ -2,11 +2,13 @@
 
 Subcommands: simulate | onearm | xiscan | events | heights | verify |
 defaults.  Configuration is a flat ``key = value`` text file overridden by
-CLI flags; every run directory receives the output files plus a
-``manifest.json`` with the effective config and per-file digests.
+CLI flags; every run directory, empty when the command starts, receives
+the output files plus a ``manifest.json`` with the effective config and
+per-file digests.
 
-Exit codes: 0 ok, 2 invalid config, 3 runtime failure, 4 degenerate fit,
-5 invariant violation.
+Exit codes: 0 ok, 2 invalid config or non-empty output directory,
+3 runtime failure (traceback on stderr), 4 degenerate fit, 5 invariant
+violation.
 """
 
 import argparse
@@ -18,6 +20,7 @@ import json
 import math
 import os
 import sys
+import traceback
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from multiprocessing import Pool
@@ -231,7 +234,11 @@ def csv_text(header: list[str], rows: list[tuple]) -> str:
 
 
 class RunDirectory:
-    """Collects output texts, then writes them plus a manifest atomically."""
+    """Collects output texts, then writes them plus a manifest into ``out``.
+
+    The files are written in place, not atomically.  ``main`` refuses an
+    ``out`` that is not empty, so the manifest lists every file there.
+    """
 
     def __init__(self, config: RunConfig, command: str):
         self.config = config
@@ -260,6 +267,12 @@ class RunDirectory:
         }
         (out / "manifest.json").write_text(json_text(manifest), encoding="utf-8")
         return out
+
+
+def _require_empty_out(path: str) -> None:
+    out = Path(path)
+    if out.exists() and (not out.is_dir() or any(out.iterdir())):
+        raise ConfigError(f"output directory {out} is not an empty directory")
 
 
 def _fit_dict(fit: estimators.FitResult) -> dict:
@@ -579,6 +592,7 @@ def main(argv=None) -> int:
         return EXIT_OK
     try:
         config = load_config(args.config, _overrides_from_args(args))
+        _require_empty_out(config.out)
     except (ConfigError, TypeError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -600,8 +614,9 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
+        traceback.print_exc()
         return EXIT_RUNTIME
     finally:
         if pool_map is not None:

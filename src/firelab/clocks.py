@@ -53,7 +53,9 @@ def derive_seed(base_seed: int, index: int) -> int:
     return mix64(((base_seed & MASK64) * GOLDEN + 2 * index + 1) & MASK64)
 
 
-def _gap(seed: int, site: Site, j: int) -> float:
+def gap(seed: int, site: Site, j: int) -> float:
+    """The j-th inter-arrival gap of a site's clock; jump j is the sum of
+    gaps 0..j, added in that order."""
     # np.log1p (not math.log1p): the scalar and grid paths must produce
     # bit-identical gaps, and numpy's scalar kernel matches its array kernel
     # while libm differs by 1 ulp on ~0.7% of inputs.
@@ -62,7 +64,7 @@ def _gap(seed: int, site: Site, j: int) -> float:
 
 def first_arrival_value(seed: int, site: Site) -> float:
     """First jump time with no horizon cut (always finite, positive)."""
-    return _gap(seed, site, 0)
+    return gap(seed, site, 0)
 
 
 def jumps_in(seed: int, site: Site, t_from: float, t_to: float) -> list[float]:
@@ -78,24 +80,11 @@ def jumps_in(seed: int, site: Site, t_from: float, t_to: float) -> list[float]:
     t = 0.0
     j = 0
     while True:
-        t += _gap(seed, site, j)
+        t += gap(seed, site, j)
         if t > t_to:
             return out
         if t > t_from:
             out.append(t)
-        j += 1
-
-
-def next_jump_after(seed: int, site: Site, t: float, t_end: float) -> float | None:
-    """Earliest jump strictly after ``t`` and at most ``t_end``."""
-    s = 0.0
-    j = 0
-    while True:
-        s += _gap(seed, site, j)
-        if s > t_end:
-            return None
-        if s > t:
-            return s
         j += 1
 
 
@@ -119,6 +108,11 @@ def uniform_grid(seed: int, window: Window, j: int = 0) -> np.ndarray:
     return ((h >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
 
 
+def gap_grid(seed: int, window: Window, j: int) -> np.ndarray:
+    """Vectorized ``gap(seed, site, j)`` over all window sites."""
+    return -np.log1p(-uniform_grid(seed, window, j))
+
+
 def first_arrival_grid(seed: int, window: Window) -> np.ndarray:
     """First jump times for all window sites, shape (n_rows, n_cols)."""
-    return -np.log1p(-uniform_grid(seed, window, 0))
+    return gap_grid(seed, window, 0)

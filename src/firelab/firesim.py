@@ -3,13 +3,17 @@
 Dynamics on the window: every interior site (row l >= 1) becomes occupied
 at the jumps of its own clock; every jump of a boundary-row clock (l == 0)
 instantaneously destroys the occupied clusters of the four sites adjacent
-to it.  The boundary row itself is held vacant at all times.  Destroyed
-sites re-enter the event queue with their next clock jump, sampled lazily.
+to it.  The boundary row itself is held vacant at all times.
+
+A run merges one sorted schedule of first arrivals (growth in rows l >= 1,
+rings in row 0) with a heap of later jumps.  A site's later jump enters the
+heap when it rings or burns, read from a per-site clock cursor that only
+moves forward, so no clock stream is summed twice.
 
 The process factorizes over fire cells: the clusters of the growth
 snapshot at t_c together with their outer boundaries.  A cell whose
-closure stays clear of the window edge evolves exactly as in the infinite
-volume, which is what certification means here.
+closure stays clear of the left, right and top window edges evolves
+exactly as in the infinite volume, which is what certification means here.
 """
 
 import heapq
@@ -135,82 +139,66 @@ class _FireRun:
         self.n_rows = n_rows
         self.arrivals = arrivals = clocks.first_arrival_grid(seed, window)
         self.occ = np.zeros((n_rows, n_cols), dtype=np.uint8)
-        if mask is None:
-            mask = np.ones((n_rows, n_cols), dtype=bool)
-        self.mask = mask
 
+        # Clock cursor: every site's next known jump after its first arrival
+        # and that jump's index.  Jump j of a site is a pure function of
+        # (seed, site, j), and the cursor adds the gaps in the order
+        # clocks.jumps_in does, so its times are the same floats.
+        self.cursor_t = arrivals + clocks.gap_grid(seed, window, 1)
+        self.cursor_j = np.ones((n_rows, n_cols), dtype=np.int64)
+
+        # First arrivals of growth (rows l >= 1) and first boundary rings
+        # (row l = 0), in (t, l, k) order.  A site's later jump enters the
+        # heap when the site rings or burns; a burnt site stays vacant until
+        # that entry, so every growth event finds its site vacant.
         K, L = window.axial_grids()
-        interior = mask & (L >= 1) & (arrivals <= t_end)
-        flat = np.flatnonzero(interior.ravel())
-        a = arrivals.ravel()[flat]
-        order = flat[np.lexsort((flat % n_cols, flat // n_cols, a))]
-        self.g_times = arrivals.ravel()[order]
-        self.g_rows = (order // n_cols).astype(np.int64)
-        self.g_cols = (order % n_cols).astype(np.int64)
-
-        b_times, b_ks = [], []
-        if window.l_min == 0:
-            row = 0
-            for c in range(n_cols):
-                if not mask[row, c]:
-                    continue
-                k = c + window.k_min
-                for tj in clocks.jumps_in(seed, (k, 0), 0.0, t_end):
-                    b_times.append(tj)
-                    b_ks.append(k)
-        b_order = np.lexsort((np.array(b_ks, dtype=np.int64),
-                              np.array(b_times, dtype=np.float64)))
-        self.b_times = np.array(b_times, dtype=np.float64)[b_order]
-        self.b_ks = np.array(b_ks, dtype=np.int64)[b_order]
-
-        self.regrow: list[tuple[float, int, int]] = []  # (t, l, k)
+        due = (L >= 0) & (arrivals <= t_end)
+        if mask is not None:
+            due &= mask
+        flat = np.flatnonzero(due.ravel())
+        ls, ks = L.ravel()[flat], K.ravel()[flat]
+        ts = arrivals.ravel()[flat]
+        order = np.lexsort((ks, ls, ts))
+        self.schedule = list(zip(ts[order].tolist(), ls[order].tolist(),
+                                 ks[order].tolist()))
+        self.heap: list[tuple[float, int, int]] = []  # (t, l, k)
 
     def execute(self) -> None:
-        gi, ng = 0, self.g_times.size
-        bi, nb = 0, self.b_times.size
-        g_times, g_rows, g_cols = self.g_times, self.g_rows, self.g_cols
-        b_times, b_ks = self.b_times, self.b_ks
-        regrow = self.regrow
-        occ = self.occ
-        window = self.window
-        l_min, k_min = window.l_min, window.k_min
-
-        while gi < ng or bi < nb or regrow:
-            # Lexicographic (time, l, k) across the three event sources.
-            best, key = None, None
-            if gi < ng:
-                best = "g"
-                key = (float(g_times[gi]), int(g_rows[gi]) + l_min,
-                       int(g_cols[gi]) + k_min)
-            if bi < nb:
-                kb = (float(b_times[bi]), 0, int(b_ks[bi]))
-                if key is None or kb < key:
-                    best, key = "b", kb
-            if regrow:
-                kr = regrow[0]
-                if key is None or kr < key:
-                    best, key = "r", kr
-
-            if best == "g":
-                gi += 1
-                t, l, k = key
-                r, c = l - l_min, k - k_min
-                if occ[r, c]:
-                    continue
-                if self._grow(t, r, c):
-                    return
-            elif best == "r":
-                t, l, k = heapq.heappop(regrow)
-                r, c = l - l_min, k - k_min
-                if occ[r, c]:
-                    continue
-                if self._grow(t, r, c):
-                    return
+        schedule, heap = self.schedule, self.heap
+        i, n = 0, len(schedule)
+        l_min, k_min = self.window.l_min, self.window.k_min
+        while True:
+            if i < n:
+                event = schedule[i]
+                if heap and heap[0] < event:
+                    event = heapq.heappop(heap)
+                else:
+                    i += 1
+            elif heap:
+                event = heapq.heappop(heap)
             else:
-                bi += 1
-                t, _, k = key
+                return
+            t, l, k = event
+            if l == 0:
                 if self._ring(t, k):
                     return
+            elif self._grow(t, l - l_min, k - k_min):
+                return
+
+    def _queue_next_jump(self, r: int, c: int, t: float) -> None:
+        """Push the first jump of site (r, c)'s clock after t, if by t_end."""
+        s = float(self.cursor_t[r, c])
+        if s <= t:
+            j = int(self.cursor_j[r, c])
+            site = (c + self.window.k_min, r + self.window.l_min)
+            while s <= t:
+                j += 1
+                s += clocks.gap(self.seed, site, j)
+            self.cursor_t[r, c] = s
+            self.cursor_j[r, c] = j
+        if s <= self.t_end:
+            heapq.heappush(self.heap, (s, r + self.window.l_min,
+                                       c + self.window.k_min))
 
     def _grow(self, t: float, r: int, c: int) -> bool:
         self.occ[r, c] = 1
@@ -228,9 +216,9 @@ class _FireRun:
             self.events.append(FireEvent(t, (k, 0), "ring"))
         window = self.window
         occ = self.occ
-        mask = self.mask
         n_rows, n_cols = self.n_rows, self.n_cols
         l_min, k_min = window.l_min, window.k_min
+        self._queue_next_jump(-l_min, k - k_min, t)  # this clock's next ring
         for (vk, vl) in ((k, 1), (k - 1, 1)):
             r, c = vl - l_min, vk - k_min
             if not (0 <= r < n_rows and 0 <= c < n_cols):
@@ -244,6 +232,7 @@ class _FireRun:
             while stack:
                 rr, cc = stack.popleft()
                 burned.append((cc + k_min, rr + l_min))
+                self._queue_next_jump(rr, cc, t)
                 for dl, dk in GRID_OFFSETS:
                     r2, c2 = rr + dl, cc + dk
                     if 0 <= r2 < n_rows and 0 <= c2 < n_cols and occ[r2, c2]:
@@ -252,10 +241,6 @@ class _FireRun:
             sites = np.array(burned, dtype=np.int64)
             record = DestructionRecord(t, (k, 0), sites)
             self.records.append(record)
-            for (bk, bl) in burned:
-                nxt = clocks.next_jump_after(self.seed, (bk, bl), t, self.t_end)
-                if nxt is not None:
-                    heapq.heappush(self.regrow, (nxt, bl, bk))
             if self.observer is not None:
                 stop = getattr(self.observer, "on_destroy", None)
                 if stop is not None and stop(self, t, record):
@@ -327,47 +312,54 @@ class FireCell:
         return m
 
 
+def _edge_band(grid: np.ndarray) -> np.ndarray:
+    """Entries of a window grid on the sites whose closure meets the left,
+    right or top window edge.
+
+    These are the one-step ``TRI_STRUCTURE`` dilation of those edges: the
+    two outermost columns on either side and the two top rows.
+    """
+    return np.concatenate((grid[:, :2].ravel(), grid[:, -2:].ravel(),
+                           grid[-2:, :].ravel()))
+
+
 def _decompose(window: Window, arrivals: np.ndarray):
-    """Label the t_c snapshot of the window's first-arrival grid; returns
-    (cells, label grid)."""
+    """Label the t_c snapshot of the window's first-arrival grid.
+
+    Returns the label grid and ``certified``, a boolean array indexed by
+    label.  A cell is certified when its closure avoids the left, right and
+    top window edges, that is when none of its sites lies in
+    :func:`_edge_band`.  Label 0 marks vacant sites and is not a cell.
+    """
     if window.l_min != 0:
         raise ValueError("cell decomposition lives on half-plane windows")
-    occ = arrivals <= T_C
-    labels, n_lab = ndimage.label(occ, structure=TRI_STRUCTURE)
-    cells = []
-    if n_lab == 0:
-        return cells, labels
-    slices = ndimage.find_objects(labels)
-    for lab, slc in enumerate(slices, start=1):
-        if slc is None:
-            continue
-        r0 = max(slc[0].start - 1, 0)
-        r1 = min(slc[0].stop + 1, window.n_rows)
-        c0 = max(slc[1].start - 1, 0)
-        c1 = min(slc[1].stop + 1, window.n_cols)
-        local = labels[r0:r1, c0:c1] == lab
-        dil = ndimage.binary_dilation(local, structure=TRI_STRUCTURE)
-        rr, cc = np.nonzero(local)
-        core = np.column_stack((cc + c0 + window.k_min, rr + r0 + window.l_min))
-        rr2, cc2 = np.nonzero(dil)
-        closure = np.column_stack((cc2 + c0 + window.k_min, rr2 + r0 + window.l_min))
-        # Dilation clipped at the array edge loses out-of-window sites; any
-        # core site on the edge already marks the cell uncertified below.
-        ks, ls = closure[:, 0], closure[:, 1]
-        certified = bool(
-            (ks > window.k_min).all() and (ks < window.k_max).all()
-            and (ls < window.l_max).all()
-            and (core[:, 0] > window.k_min).all() and (core[:, 0] < window.k_max).all()
-            and (core[:, 1] < window.l_max).all()
-        )
-        cells.append(FireCell(lab, core, closure, certified))
-    return cells, labels
+    labels, n_lab = ndimage.label(arrivals <= T_C, structure=TRI_STRUCTURE)
+    certified = np.ones(n_lab + 1, dtype=bool)
+    certified[_edge_band(labels)] = False
+    certified[0] = False
+    return labels, certified
 
 
 def decompose_cells(window: Window, seed: int) -> list[FireCell]:
     """Fire cells of the window under a seed: cores are exactly the
     clusters of the growth snapshot at t_c."""
-    return _decompose(window, clocks.first_arrival_grid(seed, window))[0]
+    labels, certified = _decompose(window, clocks.first_arrival_grid(seed, window))
+    cells = []
+    for lab, slc in enumerate(ndimage.find_objects(labels), start=1):
+        r0 = max(slc[0].start - 1, 0)
+        r1 = min(slc[0].stop + 1, window.n_rows)
+        c0 = max(slc[1].start - 1, 0)
+        c1 = min(slc[1].stop + 1, window.n_cols)
+        local = labels[r0:r1, c0:c1] == lab
+        # Dilation clipped at the array edge loses out-of-window sites; such
+        # a cell has a site in the edge band and is uncertified.
+        dil = ndimage.binary_dilation(local, structure=TRI_STRUCTURE)
+        rr, cc = np.nonzero(local)
+        core = np.column_stack((cc + c0 + window.k_min, rr + r0 + window.l_min))
+        rr2, cc2 = np.nonzero(dil)
+        closure = np.column_stack((cc2 + c0 + window.k_min, rr2 + r0 + window.l_min))
+        cells.append(FireCell(lab, core, closure, bool(certified[lab])))
+    return cells
 
 
 def run_cell(cell: FireCell, seed: int, t_end: float = T_C):
@@ -413,10 +405,7 @@ def _exact_at_record_time(arrivals: np.ndarray, record: DestructionRecord,
     labels, _ = ndimage.label(grown, structure=TRI_STRUCTURE)
     k0, l0 = int(record.sites[0, 0]), int(record.sites[0, 1])
     cluster = labels == labels[l0 - window.l_min, k0 - window.k_min]
-    # A site in the two outermost columns on either side, or in the two top
-    # rows, has an outer boundary that meets the window edge.
-    return not (cluster[:, :2].any() or cluster[:, -2:].any()
-                or cluster[-2:, :].any())
+    return not _edge_band(cluster).any()
 
 
 def height_bracket(window: Window, seed: int, region: ConeRegion | TubeRegion,
@@ -431,8 +420,7 @@ def height_bracket(window: Window, seed: int, region: ConeRegion | TubeRegion,
     own run produces.
     """
     state, records = run(window, seed, T_C)
-    cells, labels = _decompose(window, state.arrivals)
-    cert = {cell.label: cell.certified for cell in cells}
+    labels, cell_certified = _decompose(window, state.arrivals)
 
     height = lower = 0.0
     record_ok = all_exact = True
@@ -443,7 +431,7 @@ def height_bracket(window: Window, seed: int, region: ConeRegion | TubeRegion,
         top = float(hs.max())
         k0, l0 = int(rec.sites[0, 0]), int(rec.sites[0, 1])
         lab = int(labels[l0 - window.l_min, k0 - window.k_min])
-        if cert.get(lab, False):
+        if cell_certified[lab]:
             height = max(height, top)
             lower = max(lower, top)
             continue
@@ -456,15 +444,9 @@ def height_bracket(window: Window, seed: int, region: ConeRegion | TubeRegion,
 
     certified = record_ok
     if strict and certified:
-        for cell in cells:
-            if cell.certified:
-                continue
-            ks = cell.core[:, 0].astype(np.float64)
-            ls = cell.core[:, 1].astype(np.float64)
-            xs, ys = ks + 0.5 * ls, SQRT3_2 * ls
-            if region_select(xs, ys, region).any():
-                certified = False
-                break
+        rr, cc = np.nonzero(~cell_certified[labels] & (labels > 0))
+        ks, ls = cc + window.k_min, rr + window.l_min
+        certified = not region_select(ks + 0.5 * ls, SQRT3_2 * ls, region).any()
     return HeightBracket(height, certified, lower, upper)
 
 

@@ -7,6 +7,7 @@ counts and tolerances.
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 
@@ -31,9 +32,13 @@ def fire_log_failures(state: firesim.FireState,
       ``probe_times``;
     * growth happens only in rows l >= 1 and only at a jump of the site's
       clock;
+    * every jump up to ``state.t_end`` of a row-0 clock in the run's sites
+      is logged as exactly one ring, and no other ring is logged;
     * a record is non-empty, lies in rows l >= 1, was occupied just before
       its time, and is ignited at a jump of a row-0 clock on its outer
-      boundary.
+      boundary;
+    * a destroyed site whose clock jumps after the record and by
+      ``state.t_end`` grows again at the first such jump.
 
     ``clock_seed`` replaces ``seed`` in the domination reference only; a
     different seed there is a negative control.
@@ -62,6 +67,19 @@ def fire_log_failures(state: firesim.FireState,
         elif ev.time not in clocks.jumps_in(seed, ev.site, 0.0, t_end):
             failures.append(f"growth without a clock jump at {ev.site}")
 
+    logged = Counter((ev.site, ev.time) for ev in events if ev.kind == "ring")
+    jumps = Counter()
+    if window.l_min == 0:
+        for c in range(window.n_cols):
+            if state.mask is None or state.mask[0, c]:
+                site = (window.k_min + c, 0)
+                jumps.update((site, t) for t in clocks.jumps_in(seed, site, 0.0, t_end))
+    for site, t in sorted(logged.keys() | jumps.keys()):
+        if logged[(site, t)] != jumps[(site, t)]:
+            failures.append(f"ring at {site} t={t:.6f} logged {logged[(site, t)]} "
+                            f"times for {jumps[(site, t)]} clock jumps")
+
+    grown = {(ev.site, ev.time) for ev in events if ev.kind == "grow"}
     for rec in records:
         at = f"t={rec.time:.6f}"
         destroyed = {(int(k), int(l)) for k, l in rec.sites}
@@ -80,6 +98,12 @@ def fire_log_failures(state: firesim.FireState,
         vacant = sorted(s for s in destroyed if not occ_before[window.index(s)])
         if vacant:
             failures.append(f"destroyed site {vacant[0]} was vacant at {at}")
+        if rec.time < t_end:
+            for site in sorted(destroyed):
+                later = clocks.jumps_in(seed, site, rec.time, t_end)
+                if later and (site, later[0]) not in grown:
+                    failures.append(f"destroyed site {site} did not regrow at "
+                                    f"t={later[0]:.6f}")
     return failures
 
 

@@ -299,7 +299,7 @@ def _one_arm_walk(surface: RhombusSurface, window: Window, t: float,
     def occupied(site: Site) -> bool:
         val = occupied_cache.get(site)
         if val is None:
-            # Same numpy kernel as the grid engine; see clocks._gap.
+            # Same numpy kernel as the grid engine; see clocks.gap.
             val = -float(np.log1p(-clocks.uniform(seed, site, 0))) <= t
             occupied_cache[site] = val
         return val

@@ -237,3 +237,29 @@ def test_pool_built_only_for_sampling_commands(tmp_path, monkeypatch):
     # onearm maps its samples, so it asks for the pool.
     assert cli.main(["onearm", "--threads", "2", "--samples", "4",
                      "--n-list", "3", "--out", str(tmp_path / "o")]) == EXIT_RUNTIME
+
+
+def test_runtime_failure_prints_traceback(tmp_path, monkeypatch, capsys):
+    def exploding_run(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli.firesim, "run", exploding_run)
+    code = cli.main(["simulate", "--out", str(tmp_path / "s")])
+    assert code == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert "runtime failure: boom" in err
+    assert "Traceback" in err and "exploding_run" in err
+
+
+def test_refuses_non_empty_out(tmp_path, capsys):
+    out = tmp_path / "run"
+    args = ["simulate", "--seed", "3", "--window-width", "8",
+            "--window-height", "6", "--out", str(out)]
+    assert cli.main(args) == EXIT_OK
+    manifest = (out / "manifest.json").read_bytes()
+    files = sorted(p.name for p in out.iterdir())
+    capsys.readouterr()
+    assert cli.main(args[:2] + ["4"] + args[3:]) == EXIT_CONFIG
+    assert "not an empty directory" in capsys.readouterr().err
+    assert (out / "manifest.json").read_bytes() == manifest
+    assert sorted(p.name for p in out.iterdir()) == files

@@ -128,6 +128,47 @@ def test_fire_log_checker_reports_corrupted_logs():
         dataclasses.replace(state, events=events), records, seed)
     assert got == [f"destroyed site {site} was vacant at t={rec.time:.6f}"]
 
+    # A ring dropped from the log.
+    r = next(i for i, ev in enumerate(state.events) if ev.kind == "ring")
+    ring = state.events[r]
+    events = state.events[:r] + state.events[r + 1:]
+    got = invariants.fire_log_failures(
+        dataclasses.replace(state, events=events), records, seed)
+    assert got == [f"ring at {ring.site} t={ring.time:.6f} logged 0 times "
+                   f"for 1 clock jumps"]
+
+    # A regrowth moved to the next jump of its clock, with no fire in
+    # between that would find the site vacant.  Such a regrowth is rare on
+    # this window, so search the seeds for one.
+    def movable_regrowth(seed, state, records):
+        def burns(site, t0, t1):
+            return any(t0 < rec.time < t1
+                       and site in set(map(tuple, rec.sites.tolist()))
+                       for rec in records)
+
+        for g, ev in enumerate(state.events):
+            later = clocks.jumps_in(seed, ev.site, ev.time, T_C)
+            if ev.kind == "grow" and later and burns(ev.site, 0.0, ev.time) \
+                    and not burns(ev.site, ev.time, later[0]):
+                return g, later[0]
+        return None
+
+    for i in range(100):
+        seed = clocks.derive_seed(2002, i)
+        state, records = run(window, seed, T_C, collect_events=True)
+        found = movable_regrowth(seed, state, records)
+        if found is not None:
+            break
+    assert found is not None
+    g, nxt = found
+    ev = state.events[g]
+    events = list(state.events)
+    events[g] = dataclasses.replace(ev, time=nxt)
+    assert invariants.fire_log_failures(state, records, seed) == []
+    got = invariants.fire_log_failures(
+        dataclasses.replace(state, events=events), records, seed)
+    assert got == [f"destroyed site {ev.site} did not regrow at t={ev.time:.6f}"]
+
 
 def test_destroyed_sites_regrow():
     window = Window(-6, 6, 0, 5)
@@ -212,6 +253,7 @@ def test_decompose_singleton_closure():
 
 def test_decompose_partition_and_closures():
     window = Window(-15, 14, 0, 29)
+    flags = set()
     for i in range(20):
         seed = clocks.derive_seed(5005, i)
         occ = clocks.first_arrival_grid(seed, window) <= T_C
@@ -225,12 +267,16 @@ def test_decompose_partition_and_closures():
             seen |= core
             total += len(core)
             closure = {(int(k), int(l)) for k, l in cell.closure}
-            if cell.certified:
-                assert closure == core | outer_boundary(core, half_plane=True)
-                for k, l in closure:
-                    assert window.k_min < k < window.k_max
-                    assert l < window.l_max
+            assert closure == {s for s in core | outer_boundary(core, half_plane=True)
+                               if window.contains(s)}
+            # Certified exactly when the closure avoids the left, right and
+            # top window edges.
+            inside = all(window.k_min < k < window.k_max and l < window.l_max
+                         for k, l in closure)
+            assert cell.certified == inside
+            flags.add(cell.certified)
         assert total == n_occupied
+    assert flags == {True, False}
 
 
 def test_run_cell_without_igniter_is_quiet():
@@ -342,16 +388,11 @@ def test_certified_height_strict_monotone_under_window_growth():
     from firelab.firesim import _decompose, region_select
 
     def strict_ok(window, seed):
-        cells, _ = _decompose(window, clocks.first_arrival_grid(seed, window))
-        for cell in cells:
-            if cell.certified:
-                continue
-            ks = cell.core[:, 0].astype(float)
-            ls = cell.core[:, 1].astype(float)
-            xs, ys = ks + 0.5 * ls, ls * SQ3 / 2
-            if (region_select(xs, ys, cone) & (ys <= y_cap)).any():
-                return False
-        return True
+        labels, certified = _decompose(window, clocks.first_arrival_grid(seed, window))
+        rr, cc = np.nonzero(~certified[labels] & (labels > 0))
+        ks, ls = cc + window.k_min, rr + window.l_min
+        xs, ys = ks + 0.5 * ls, ls * SQ3 / 2
+        return not (region_select(xs, ys, cone) & (ys <= y_cap)).any()
 
     flips = 0
     hits = 0
@@ -382,15 +423,14 @@ def test_record_time_rule_exact_records_survive_window_doubling():
         _, big_records = run(big, seed, T_C)
         big_keys = {key(rec) for rec in big_records}
         arrivals = clocks.first_arrival_grid(seed, small)
-        cells, labels = _decompose(small, arrivals)
-        cert = {cell.label: cell.certified for cell in cells}
+        labels, certified = _decompose(small, arrivals)
         for rec in records:
             if not _exact_at_record_time(arrivals, rec, small):
                 continue
             exact += 1
             assert key(rec) in big_keys
             k0, l0 = rec.sites[0]
-            if not cert.get(int(labels[l0 - small.l_min, k0 - small.k_min]), False):
+            if not certified[labels[l0 - small.l_min, k0 - small.k_min]]:
                 beyond_cell += 1
     assert exact > 0
     # The rule certifies records that the t_c cell rule leaves out.
