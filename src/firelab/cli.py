@@ -346,12 +346,8 @@ def cmd_onearm(config: RunConfig, pool_map) -> int:
     rundir.add("onearm.csv",
                csv_text(["n", "point", "ci_low", "ci_high", "samples"], rows))
     report = {"t": config.t, "phi": config.phi, "half_plane": config.half_plane}
-    nz = [(n, e.point) for n, e in points if e.successes > 0]
-    if len(nz) >= 2:
-        fit = estimators.linear_fit(np.log([n for n, _ in nz]),
-                                    np.log([p for _, p in nz]),
-                                    x_transform="log", y_transform="log",
-                                    model="powerlaw")
+    fit = estimators.powerlaw_fit(points)
+    if fit is not None:
         report["loglog_fit"] = _fit_dict(fit)
     else:
         report["loglog_fit"] = None

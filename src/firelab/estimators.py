@@ -32,7 +32,6 @@ from .lattice import (GRID_OFFSETS, ConeRegion, RhombusSurface, Site, TubeRegion
                       Window, half_plane_neighbors)
 from .percolation import (
     BELOW_FLOOR,
-    _connection_time_floor,
     first_connection_time,
     is_connected,
     one_arm_indicator,
@@ -124,6 +123,16 @@ def linear_fit(x, y, x_transform: str = "id", y_transform: str = "id",
         se, ci = math.nan, (-math.inf, math.inf)
     return FitResult(slope, intercept, se, ci, r2, math.sqrt(sse), n,
                      x_transform, y_transform, model)
+
+
+def powerlaw_fit(points: list[tuple[int, EstimateResult]]) -> FitResult | None:
+    """Log-log fit of the nonzero estimates against n; None when fewer than
+    two estimates are nonzero."""
+    nz = [(n, e.point) for n, e in points if e.point > 0]
+    if len(nz) < 2:
+        return None
+    return linear_fit(np.log([n for n, _ in nz]), np.log([p for _, p in nz]),
+                      x_transform="log", y_transform="log", model="powerlaw")
 
 
 def _pmap(pool_map, fn, items):
@@ -344,8 +353,8 @@ def _sample_event_d(seed: int, params: EventParams) -> bool:
     # expensive connection computation on ~98% of samples at large n.
     if not clocks.jumps_in(seed, params.w_site, params.slice_time, T_C):
         return False
-    res = _connection_time_floor(params.w_site, params.surface(), params.window(),
-                                 seed, T_C, True, params.slice_time)
+    res = first_connection_time(params.w_site, params.surface(), params.window(),
+                                seed, floor=params.slice_time)
     if res is BELOW_FLOOR or res is None:
         return False
     if not res < T_C:
@@ -365,8 +374,8 @@ def estimate_event_D(params: EventParams, samples: int, base_seed: int,
 def event_d_components(params: EventParams, seed: int) -> tuple[bool, bool]:
     """The two independent factors of the D upper bound: connection time in
     the slice window, and a jump of w's clock inside the slice."""
-    res = _connection_time_floor(params.w_site, params.surface(), params.window(),
-                                 seed, T_C, True, params.slice_time)
+    res = first_connection_time(params.w_site, params.surface(), params.window(),
+                                seed, floor=params.slice_time)
     conn = res is not BELOW_FLOOR and res is not None and res < T_C
     clock = bool(clocks.jumps_in(seed, params.w_site, params.slice_time, T_C))
     return conn, clock
@@ -540,11 +549,9 @@ def borel_cantelli_report(points: list[tuple[int, EstimateResult]]) -> BorelCant
     ups = [e.ci_high for _, e in points]
     sums = list(np.cumsum(pts))
     sums_up = list(np.cumsum(ups))
-    nz = [(n, p) for n, p in zip(ns, pts) if p > 0]
-    if len(nz) < 2:
+    fit = powerlaw_fit(points)
+    if fit is None:
         return BorelCantelliReport(ns, sums, sums_up, None, "insufficient")
-    fit = linear_fit(np.log([n for n, _ in nz]), np.log([p for _, p in nz]),
-                     x_transform="log", y_transform="log", model="powerlaw")
     verdict = "summable-trend" if fit.slope < -1.0 else "not-summable"
     return BorelCantelliReport(ns, sums, sums_up, fit, verdict)
 
@@ -565,7 +572,7 @@ def _order_statistic_ci(values: np.ndarray, q: float,
 class HeightDistribution:
     """Empirical distribution of destruction heights at one window size.
 
-    ``heights`` and ``certified`` follow ``firesim.certified_height``: an
+    ``heights`` and ``certified`` follow ``firesim.HeightBracket``: an
     uncertified sample's height is a lower bound, not an estimate, and the
     ``quantile``, ``quantile_ci`` and ``cdf_points`` statistics pool those
     lower bounds with the exact values.  ``lower`` and ``upper`` bracket

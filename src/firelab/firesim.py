@@ -376,11 +376,22 @@ def run_cell(cell: FireCell, seed: int, t_end: float = T_C):
 class HeightBracket:
     """One sample's destruction height in a region, under two rules.
 
-    ``height`` and ``certified`` follow the t_c cell rule of
-    ``certified_height``.  ``lower`` and ``upper`` bracket the destruction
-    height inside the window: ``lower`` is the largest region height over
-    the records that are exact at their own time, and ``upper`` equals it
-    when every region record is exact, else the window's top height.
+    ``height`` and ``certified`` follow the t_c cell rule: ``height`` is
+    the destruction height in the region over certified cells only.
+    Records that lie in uncertified t_c cells are dropped, so on an
+    uncertified sample ``height`` is a lower bound (0.0 when no other
+    record remains).  ``certified`` states that ``height`` is exact, and
+    only for the window's rows of the region.  With ``strict`` it requires
+    every cell whose core intersects the region to be certified (the full
+    certification contract, rarely satisfied at criticality); otherwise it
+    only requires that no destruction record intersecting the region lies
+    in an uncertified cell, so it covers only the records that the
+    window's own run produces.
+
+    ``lower`` and ``upper`` bracket the destruction height inside the
+    window: ``lower`` is the largest region height over the records that
+    are exact at their own time, and ``upper`` equals it when every region
+    record is exact, else the window's top height.
     """
 
     height: float
@@ -412,8 +423,9 @@ def height_bracket(window: Window, seed: int, region: ConeRegion | TubeRegion,
                    strict: bool = False) -> HeightBracket:
     """Destruction height in ``region`` from one run, with its bracket.
 
-    ``height`` and ``certified`` are those of ``certified_height`` (whose
-    ``strict`` they follow).  The bracket does not depend on ``strict``.
+    ``height`` and ``certified`` follow the t_c cell rule of
+    :class:`HeightBracket` under ``strict``.  The bracket does not depend
+    on ``strict``.
     The record-time rule runs only on region records whose t_c cell is
     uncertified; a record in a certified cell is exact under it too.  Like
     the non-strict flag, the bracket covers the records that the window's
@@ -448,24 +460,6 @@ def height_bracket(window: Window, seed: int, region: ConeRegion | TubeRegion,
         ks, ls = cc + window.k_min, rr + window.l_min
         certified = not region_select(ks + 0.5 * ls, SQRT3_2 * ls, region).any()
     return HeightBracket(height, certified, lower, upper)
-
-
-def certified_height(window: Window, seed: int, region: ConeRegion | TubeRegion,
-                     strict: bool = False) -> tuple[float, bool]:
-    """Destruction height in ``region`` over certified cells only.
-
-    Records that lie in uncertified t_c cells are dropped, so on an
-    uncertified sample the height is a lower bound (0.0 when no other
-    record remains).  The returned flag states that the value is exact,
-    and only for the window's rows of the region.  With ``strict=True`` it
-    requires every cell whose core intersects the region to be certified
-    (the full certification contract, rarely satisfied at criticality);
-    the default only requires that no destruction record intersecting the
-    region lies in an uncertified cell, so it covers only the records that
-    the window's own run produces.
-    """
-    b = height_bracket(window, seed, region, strict)
-    return b.height, b.certified
 
 
 def destruction_log_rows(records: list[DestructionRecord],

@@ -151,7 +151,7 @@ def _definitional_connection_time(w: Site, target, window: Window,
 
 
 def connection_failures(cases, phi: float) -> list[str]:
-    """``cases`` are ``(seed, n)`` pairs; for each, the union-find
+    """``cases`` are ``(seed, n)`` pairs; for each, the bisected
     first-connection time from the origin to its rhombus surface of size n
     must equal a relabelling of the snapshot at every arrival time."""
     failures = []

@@ -18,7 +18,6 @@ from scipy import ndimage
 from . import clocks
 from .clocks import T_C
 from .lattice import (
-    GRID_OFFSETS,
     SQRT3_2,
     TRI_STRUCTURE,
     ConeRegion,
@@ -147,92 +146,36 @@ BELOW_FLOOR = object()  # sentinel: connection already present at the floor time
 
 
 def first_connection_time(w: Site, target, window: Window, seed: int,
-                          t_max: float = T_C, half_plane: bool = True) -> float | None:
+                          t_max: float = T_C, half_plane: bool = True,
+                          floor: float = 0.0):
     """Minimal t <= t_max at which ``is_connected`` holds; None otherwise.
 
-    Equals the minimax (bottleneck) value over admissible paths: insert
-    sites in arrival order into a union-find with virtual terminals for the
-    w-neighborhood and the target band.
+    With ``floor > 0`` the answer is coarse below the floor: BELOW_FLOOR
+    when the connection already holds at time ``floor``.
+
+    The growth process only adds sites, so the connection is monotone in t
+    and first holds at a first-arrival time.  A bisection over the distinct
+    arrivals in (floor, t_max] finds it, labelling one snapshot per probe.
     """
-    # Floor 0 never yields the BELOW_FLOOR marker: arrivals are positive.
-    return _connection_time_floor(w, target, window, seed, t_max, half_plane, 0.0)
-
-
-def _connection_time_floor(w: Site, target, window: Window, seed: int,
-                           t_max: float, half_plane: bool, floor: float):
-    """Like :func:`first_connection_time` but coarse below ``floor``:
-    returns BELOW_FLOOR when the connection already holds at time floor."""
-    check_window(window, target, half_plane)
     arrivals = clocks.first_arrival_grid(seed, window)
-    n_rows, n_cols = arrivals.shape
-    n = arrivals.size
 
-    tmask = target_mask(window, target, half_plane).ravel()
-    smask = np.zeros(n, dtype=bool)
-    for (r, c) in _start_indices(window, w, half_plane):
-        smask[r * n_cols + c] = True
+    def holds(t: float) -> bool:
+        config = GrowthConfiguration(window, t, half_plane, arrivals <= t, seed)
+        return is_connected(w, target, config)
 
-    parent = list(range(n + 2))
-    vw, vt = n, n + 1
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-
-    flat_arr = arrivals.ravel()
-    active_np = np.zeros(n, dtype=np.uint8)
-
-    if floor > 0.0:
-        pre = arrivals <= floor
-        if pre.any():
-            labels, _ = ndimage.label(pre, structure=TRI_STRUCTURE)
-            flat_lab = labels.ravel()
-            idx = np.flatnonzero(flat_lab)
-            # Union each prelabeled component to its first member (vectorized).
-            labs = flat_lab[idx]
-            _, first_pos = np.unique(labs, return_index=True)
-            rep_of = np.zeros(int(labs.max()) + 1, dtype=np.int64)
-            rep_of[labs[first_pos]] = idx[first_pos]
-            parent_np = np.arange(n + 2, dtype=np.int64)
-            parent_np[idx] = rep_of[labs]
-            parent = parent_np.tolist()
-            active_np[idx] = 1
-            for i in np.flatnonzero(pre.ravel() & smask).tolist():
-                union(vw, i)
-            for i in np.flatnonzero(pre.ravel() & tmask).tolist():
-                union(vt, i)
-            if find(vw) == find(vt):
-                return BELOW_FLOOR
-
-    active = bytearray(active_np.tobytes())
-
-    lo, hi = floor, t_max
-    sel = np.flatnonzero((flat_arr > lo) & (flat_arr <= hi))
-    if sel.size:
-        order = sel[np.lexsort((sel % n_cols, sel // n_cols, flat_arr[sel]))]
-        for i in order.tolist():
-            active[i] = 1
-            r, c = divmod(i, n_cols)
-            for dl, dk in GRID_OFFSETS:
-                rr, cc = r + dl, c + dk
-                if 0 <= rr < n_rows and 0 <= cc < n_cols:
-                    j = rr * n_cols + cc
-                    if active[j]:
-                        union(i, j)
-            if smask[i]:
-                union(vw, i)
-            if tmask[i]:
-                union(vt, i)
-            if find(vw) == find(vt):
-                return float(flat_arr[i])
-    return None
+    if not holds(t_max):
+        return None
+    if floor > 0.0 and holds(floor):
+        return BELOW_FLOOR
+    times = np.unique(arrivals[(arrivals > floor) & (arrivals <= t_max)])
+    lo, hi = 0, times.size - 1  # holds(times[hi]); not holds below times[lo]
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if holds(float(times[mid])):
+            hi = mid
+        else:
+            lo = mid + 1
+    return float(times[lo])
 
 
 def window_for_rhombus(center: Site, n: int, phi: float, half_plane: bool,
@@ -299,8 +242,7 @@ def _one_arm_walk(surface: RhombusSurface, window: Window, t: float,
     def occupied(site: Site) -> bool:
         val = occupied_cache.get(site)
         if val is None:
-            # Same numpy kernel as the grid engine; see clocks.gap.
-            val = -float(np.log1p(-clocks.uniform(seed, site, 0))) <= t
+            val = clocks.first_arrival_value(seed, site) <= t
             occupied_cache[site] = val
         return val
 

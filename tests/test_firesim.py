@@ -12,8 +12,8 @@ from firelab.firesim import (
     DestructionRecord,
     FireCell,
     UncertifiedCellError,
-    certified_height,
     decompose_cells,
+    height_bracket,
     height_of_destruction,
     reconstruct_occupancy,
     run,
@@ -346,10 +346,10 @@ def test_certified_height_quiet_region():
     cone = ConeRegion(0.0, PHI)
     for i in range(200):
         seed = clocks.derive_seed(230, i)
-        height, ok = certified_height(window, seed, cone)
+        b = height_bracket(window, seed, cone)
         _, records = run(window, seed, T_C)
         if not records:
-            assert height == 0.0 and ok
+            assert b.height == 0.0 and b.certified
             return
     pytest.skip("no quiet seed found")
 
@@ -373,8 +373,7 @@ def test_certified_height_strict_edge_cluster():
         return False
 
     seed = _find_seed(window, edge_cluster_in_cone)
-    _, ok = certified_height(window, seed, cone, strict=True)
-    assert not ok
+    assert not height_bracket(window, seed, cone, strict=True).certified
 
 
 def test_certified_height_strict_monotone_under_window_growth():

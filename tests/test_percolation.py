@@ -6,8 +6,10 @@ import pytest
 
 from firelab import clocks, invariants
 from firelab.clocks import T_C
+from firelab.estimators import EventParams
 from firelab.lattice import RhombusSurface, Window, neighbors
 from firelab.percolation import (
+    BELOW_FLOOR,
     GrowthConfiguration,
     WindowTooSmallError,
     first_connection_time,
@@ -159,6 +161,27 @@ def test_first_connection_time_matches_definitional_recompute():
     # Recompute by full relabeling at every candidate arrival time.
     cases = [(clocks.derive_seed(29, i), 3) for i in range(1000)]
     assert invariants.connection_failures(cases, PHI) == []
+
+
+def test_connection_time_floor_matches_unfloored():
+    # The floored time is BELOW_FLOOR exactly when the connection already
+    # holds at the floor, and otherwise the unfloored time.
+    seen = {"below": 0, "above": 0, "none": 0}
+    for n in (8, 16):
+        params = EventParams(n)
+        args = (params.w_site, params.surface(), params.window())
+        for floor in (0.3, params.slice_time):
+            for i in range(60):
+                seed = clocks.derive_seed(41, 100 * n + i)
+                t = first_connection_time(*args, seed)
+                got = first_connection_time(*args, seed, floor=floor)
+                if t is not None and t <= floor:
+                    assert got is BELOW_FLOOR
+                    seen["below"] += 1
+                else:
+                    assert got == t
+                    seen["above" if t is not None else "none"] += 1
+    assert min(seen.values()) > 0, seen
 
 
 def test_first_connection_single_site_path():
