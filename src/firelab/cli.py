@@ -19,7 +19,9 @@ import io
 import json
 import math
 import os
+import shutil
 import sys
+import tempfile
 import traceback
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -236,8 +238,11 @@ def csv_text(header: list[str], rows: list[tuple]) -> str:
 class RunDirectory:
     """Collects output texts, then writes them plus a manifest into ``out``.
 
-    The files are written in place, not atomically.  ``main`` refuses an
-    ``out`` that is not empty, so the manifest lists every file there.
+    The files are written into a temporary sibling directory, which then
+    replaces ``out`` in one rename, so ``out`` never holds a partial run.
+    ``main`` refuses an ``out`` that is not empty or that is the working
+    directory, so the rename succeeds and the manifest lists every file
+    there.
     """
 
     def __init__(self, config: RunConfig, command: str):
@@ -251,28 +256,43 @@ class RunDirectory:
 
     def write(self) -> Path:
         out = Path(self.config.out)
-        out.mkdir(parents=True, exist_ok=True)
-        digests = {}
-        for name, text in sorted(self.files.items()):
-            data = text.encode("utf-8")
-            (out / name).write_bytes(data)
-            digests[name] = hashlib.sha256(data).hexdigest()
-        manifest = {
-            "artifact_version": __version__,
-            "command": self.command,
-            "config": dataclasses.asdict(self.config),
-            "started_utc": self.started,
-            "finished_utc": datetime.now(timezone.utc).isoformat(),
-            "outputs": digests,
-        }
-        (out / "manifest.json").write_text(json_text(manifest), encoding="utf-8")
+        out.parent.mkdir(parents=True, exist_ok=True)
+        tmp = Path(tempfile.mkdtemp(prefix=f".{out.name}.", dir=out.parent))
+        try:
+            # mkdtemp makes a private directory; give it a plain mkdir's mode.
+            umask = os.umask(0)
+            os.umask(umask)
+            tmp.chmod(0o777 & ~umask)
+            digests = {}
+            for name, text in sorted(self.files.items()):
+                data = text.encode("utf-8")
+                (tmp / name).write_bytes(data)
+                digests[name] = hashlib.sha256(data).hexdigest()
+            manifest = {
+                "artifact_version": __version__,
+                "command": self.command,
+                "config": dataclasses.asdict(self.config),
+                "started_utc": self.started,
+                "finished_utc": datetime.now(timezone.utc).isoformat(),
+                "outputs": digests,
+            }
+            (tmp / "manifest.json").write_text(json_text(manifest), encoding="utf-8")
+            os.replace(tmp, out)
+        except BaseException:
+            shutil.rmtree(tmp, ignore_errors=True)
+            raise
         return out
 
 
 def _require_empty_out(path: str) -> None:
     out = Path(path)
-    if out.exists() and (not out.is_dir() or any(out.iterdir())):
+    if not out.exists():
+        return
+    if not out.is_dir() or any(out.iterdir()):
         raise ConfigError(f"output directory {out} is not an empty directory")
+    if out.samefile(Path.cwd()):
+        raise ConfigError("the output directory cannot be the working directory,"
+                          " which the finished run directory would replace")
 
 
 def _fit_dict(fit: estimators.FitResult) -> dict:

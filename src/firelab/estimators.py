@@ -12,7 +12,12 @@ T = first time w connects to S in the growth process:
 * D: T in [t_slice, t_c) and w's clock jumps in (T, t_c];
 * B: T in [0, t_c) and w's clock jumps in (T, t_c];
 * A: first time w connects to the cone in the fire process precedes the
-  last jump of w's clock before t_c.
+  last jump j_last of w's clock before t_c.  In record form: some
+  destruction record of the fire run up to j_last holds a half-plane
+  neighbour of w, (k_w, 1) or (k_w - 1, 1), and a site within distance 1
+  of the cone.  Occupancy only grows between rings, so a connecting
+  cluster stays occupied until one fire burns all of it, and w's own ring
+  at j_last burns the clusters of both neighbours.
 
 Sample-wise, A implies B, C implies the connection part of B, and
 (B and not C) equals D.  Left-side events reduce to right-side events of
@@ -28,8 +33,7 @@ from scipy import stats
 
 from . import clocks, firesim, percolation
 from .clocks import T_C, derive_seed
-from .lattice import (GRID_OFFSETS, ConeRegion, RhombusSurface, Site, TubeRegion,
-                      Window, half_plane_neighbors)
+from .lattice import ConeRegion, RhombusSurface, Site, TubeRegion, Window
 from .percolation import (
     BELOW_FLOOR,
     first_connection_time,
@@ -381,81 +385,10 @@ def event_d_components(params: EventParams, seed: int) -> tuple[bool, bool]:
     return conn, clock
 
 
-def _sample_event_b(seed: int, params: EventParams, horizon: float) -> bool:
-    if horizon <= 0.0:
-        return False
-    jumps = clocks.jumps_in(seed, params.w_site, 0.0, horizon)
-    if not jumps:
-        return False
-    t = first_connection_time(params.w_site, params.surface(), params.window(),
-                              seed, horizon, True)
-    if t is None or not t < horizon:
-        return False
-    return jumps[-1] > t
-
-
-def estimate_event_B(params: EventParams, samples: int, base_seed: int,
-                     side: str = "right", horizon: float = T_C,
-                     pool_map=None) -> EstimateResult:
-    """Connection at any time before the horizon with a later w-jump."""
-    params = _resolve_side(params, side)
-    seeds = [derive_seed(base_seed, i) for i in range(samples)]
-    hits = sum(_pmap(pool_map, partial(_sample_event_b, params=params,
-                                       horizon=horizon), seeds))
-    return make_estimate(hits, samples)
-
-
-class _ConeConnectionObserver:
-    """Tracks the set of fire-process sites connected to w's neighborhood
-    and records the first time that set reaches distance 1 of the cone."""
-
-    def __init__(self, run_window: Window, w: Site, cone: ConeRegion):
-        self.window = run_window
-        self.near_cone = percolation.target_mask(run_window, cone, True)
-        self.in_R = np.zeros((run_window.n_rows, run_window.n_cols), dtype=bool)
-        self.w_neighbors = {run_window.index(y) for y in half_plane_neighbors(w)
-                            if run_window.contains(y)}
-        self.found_time: float | None = None
-
-    def on_grow(self, ctx, t, site) -> bool:
-        idx = self.window.index(site)
-        touches = idx in self.w_neighbors
-        if not touches:
-            r, c = idx
-            for dl, dk in GRID_OFFSETS:
-                rr, cc = r + dl, c + dk
-                if 0 <= rr < ctx.n_rows and 0 <= cc < ctx.n_cols and self.in_R[rr, cc]:
-                    touches = True
-                    break
-        if not touches:
-            return False
-        # Absorb the whole occupied cluster of the grown site into R.
-        stack = [idx]
-        self.in_R[idx] = True
-        occ = ctx.occ
-        while stack:
-            r, c = stack.pop()
-            if self.near_cone[r, c]:
-                self.found_time = t
-                return True
-            for dl, dk in GRID_OFFSETS:
-                rr, cc = r + dl, c + dk
-                if (0 <= rr < ctx.n_rows and 0 <= cc < ctx.n_cols
-                        and occ[rr, cc] and not self.in_R[rr, cc]):
-                    self.in_R[rr, cc] = True
-                    stack.append((rr, cc))
-        return False
-
-    def on_destroy(self, ctx, t, record) -> bool:
-        rows = record.sites[:, 1] - self.window.l_min
-        cols = record.sites[:, 0] - self.window.k_min
-        self.in_R[rows, cols] = False
-        return False
-
-
-def event_a_window(params: EventParams, cone_height_factor: float = 2.0) -> Window:
-    """Half-plane window covering the cone cross-section and the w site."""
-    l_top = max(8, math.ceil(cone_height_factor * params.n))
+def event_a_window(params: EventParams) -> Window:
+    """Half-plane window covering the cone cross-section up to height 2n
+    and the w site."""
+    l_top = max(8, 2 * params.n)
     cone = params.cone()
     y_top = l_top * math.sqrt(3.0) / 2.0
     x_lo = cone.apex_x - cone.half_width_at(y_top) - 3.0
@@ -465,18 +398,22 @@ def event_a_window(params: EventParams, cone_height_factor: float = 2.0) -> Wind
     return Window(k_lo, k_hi, 0, l_top)
 
 
-def sample_event_a(seed: int, params: EventParams,
-                   window: Window | None = None) -> bool:
-    """One fire-process sample of the cone-connection event."""
+def sample_event_a(seed: int, params: EventParams) -> bool:
+    """One fire-process sample of the cone-connection event, read off the
+    destruction records of a run up to the last jump of w's clock."""
     w = params.w_site
     jumps = clocks.jumps_in(seed, w, 0.0, T_C)
     if not jumps:
         return False
-    j_last = jumps[-1]
-    win = window if window is not None else event_a_window(params)
-    obs = _ConeConnectionObserver(win, w, params.cone())
-    firesim.run(win, seed, t_end=j_last, observer=obs)
-    return obs.found_time is not None and obs.found_time < j_last
+    win = event_a_window(params)
+    _, records = firesim.run(win, seed, t_end=jumps[-1])
+    near_cone = percolation.target_mask(win, params.cone(), True)
+    for rec in records:
+        ks, ls = rec.sites[:, 0], rec.sites[:, 1]
+        at_w = (ls == 1) & ((ks == w[0]) | (ks == w[0] - 1))
+        if at_w.any() and near_cone[ls - win.l_min, ks - win.k_min].any():
+            return True
+    return False
 
 
 @dataclass

@@ -102,13 +102,11 @@ class FireEvent:
 
 
 def run(window: Window, seed: int, t_end: float = T_C,
-        mask: np.ndarray | None = None, observer=None,
-        collect_events: bool = False):
+        mask: np.ndarray | None = None, collect_events: bool = False):
     """Run the forest-fire process; returns (FireState, destruction log).
 
     ``mask`` restricts the dynamics to a site subset (used for fire cells);
-    ``observer`` may define ``on_grow(run_ctx, t, site)`` and
-    ``on_destroy(run_ctx, t, record)``, either returning True to stop.
+    ``collect_events`` keeps the grow and ring events in ``FireState.events``.
     """
     if t_end > T_C + 1e-12:
         raise ValueError(f"t_end is capped at t_c = log 2 ~ {T_C:.6f}")
@@ -116,7 +114,7 @@ def run(window: Window, seed: int, t_end: float = T_C,
         raise ValueError("t_end must be positive")
     if mask is None and window.l_min != 0:
         raise ValueError("forest-fire windows live on the half-plane, l_min = 0")
-    ctx = _FireRun(window, seed, t_end, mask, observer, collect_events)
+    ctx = _FireRun(window, seed, t_end, mask, collect_events)
     ctx.execute()
     state = FireState(window, ctx.occ, t_end, mask, ctx.events, ctx.arrivals)
     return state, ctx.records
@@ -125,14 +123,12 @@ def run(window: Window, seed: int, t_end: float = T_C,
 class _FireRun:
     """Mutable single-run state; one instance per run, not shared."""
 
-    def __init__(self, window, seed, t_end, mask, observer, collect_events):
+    def __init__(self, window, seed, t_end, mask, collect_events):
         self.window = window
         self.seed = seed
         self.t_end = t_end
-        self.observer = observer
         self.records: list[DestructionRecord] = []
-        self.events: list[FireEvent] = [] if collect_events else None
-        self.collect_events = collect_events
+        self.events: list[FireEvent] | None = [] if collect_events else None
 
         n_rows, n_cols = window.n_rows, window.n_cols
         self.n_cols = n_cols
@@ -165,6 +161,7 @@ class _FireRun:
 
     def execute(self) -> None:
         schedule, heap = self.schedule, self.heap
+        occ, events = self.occ, self.events
         i, n = 0, len(schedule)
         l_min, k_min = self.window.l_min, self.window.k_min
         while True:
@@ -180,10 +177,11 @@ class _FireRun:
                 return
             t, l, k = event
             if l == 0:
-                if self._ring(t, k):
-                    return
-            elif self._grow(t, l - l_min, k - k_min):
-                return
+                self._ring(t, k)
+            else:
+                occ[l - l_min, k - k_min] = 1
+                if events is not None:
+                    events.append(FireEvent(t, (k, l), "grow"))
 
     def _queue_next_jump(self, r: int, c: int, t: float) -> None:
         """Push the first jump of site (r, c)'s clock after t, if by t_end."""
@@ -200,19 +198,8 @@ class _FireRun:
             heapq.heappush(self.heap, (s, r + self.window.l_min,
                                        c + self.window.k_min))
 
-    def _grow(self, t: float, r: int, c: int) -> bool:
-        self.occ[r, c] = 1
-        site = (c + self.window.k_min, r + self.window.l_min)
-        if self.collect_events:
-            self.events.append(FireEvent(t, site, "grow"))
-        if self.observer is not None:
-            stop = getattr(self.observer, "on_grow", None)
-            if stop is not None and stop(self, t, site):
-                return True
-        return False
-
-    def _ring(self, t: float, k: int) -> bool:
-        if self.collect_events:
+    def _ring(self, t: float, k: int) -> None:
+        if self.events is not None:
             self.events.append(FireEvent(t, (k, 0), "ring"))
         window = self.window
         occ = self.occ
@@ -239,13 +226,7 @@ class _FireRun:
                         occ[r2, c2] = 0
                         stack.append((r2, c2))
             sites = np.array(burned, dtype=np.int64)
-            record = DestructionRecord(t, (k, 0), sites)
-            self.records.append(record)
-            if self.observer is not None:
-                stop = getattr(self.observer, "on_destroy", None)
-                if stop is not None and stop(self, t, record):
-                    return True
-        return False
+            self.records.append(DestructionRecord(t, (k, 0), sites))
 
 
 def reconstruct_occupancy(window: Window, events: list[FireEvent],

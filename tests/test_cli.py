@@ -263,3 +263,31 @@ def test_refuses_non_empty_out(tmp_path, capsys):
     assert "not an empty directory" in capsys.readouterr().err
     assert (out / "manifest.json").read_bytes() == manifest
     assert sorted(p.name for p in out.iterdir()) == files
+
+
+def test_failed_write_leaves_no_partial_run(tmp_path, monkeypatch):
+    out = tmp_path / "run"
+    out.mkdir()
+    write_bytes = Path.write_bytes
+    calls = []
+
+    def failing_second_write(self, data):
+        calls.append(self.name)
+        if len(calls) == 2:
+            raise OSError("disk full")
+        return write_bytes(self, data)
+
+    monkeypatch.setattr(Path, "write_bytes", failing_second_write)
+    code = cli.main(["simulate", "--seed", "3", "--window-width", "8",
+                     "--window-height", "6", "--out", str(out)])
+    assert code == EXIT_RUNTIME
+    assert len(calls) == 2
+    assert list(out.iterdir()) == []
+    assert list(tmp_path.iterdir()) == [out]
+
+
+def test_refuses_working_directory_as_out(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["simulate", "--out", "."]) == EXIT_CONFIG
+    assert "working directory" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

@@ -3,14 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from firelab import clocks, estimators, firesim
+from firelab import clocks, estimators, firesim, percolation
 from firelab.clocks import T_C
 from firelab.estimators import (
     EventParams,
     FitError,
     borel_cantelli_report,
     coupled_event_stats,
-    estimate_event_B,
     estimate_event_C,
     estimate_event_D,
     estimate_one_arm,
@@ -27,6 +26,7 @@ from firelab.estimators import (
     xi_from_fit,
 )
 from firelab.lattice import ConeRegion, TubeRegion, Window
+from firelab.percolation import GrowthConfiguration
 
 PHI = math.pi / 3
 
@@ -204,18 +204,18 @@ def test_event_d_independence_factorization():
     assert abs(puv - pu * pv) <= 3 * sigma + 1e-9
 
 
-def test_event_b_horizon_zero():
-    est = estimate_event_B(EventParams(8), 200, base_seed=1, horizon=0.0)
-    assert est.point == 0.0
-
-
-def test_event_b_bounded_by_c_plus_d():
+def test_coupled_counts_match_separate_estimators():
+    # The coupled sampler's C and D are the separate estimators' events on
+    # the same seeds, and B is contained in C or D sample by sample.
     params = EventParams(16)
     n_samp = 3000
-    b = estimate_event_B(params, n_samp, base_seed=818)
+    coupled = coupled_event_stats(params, n_samp, 818, include_a=False)
     c = estimate_event_C(params, n_samp, base_seed=818)
     d = estimate_event_D(params, n_samp, base_seed=818)
-    assert b.point <= c.point + d.point + 3 * (b.se() + c.se() + d.se())
+    counts = {k: e.successes for k, e in coupled.estimates.items()}
+    assert counts["C"] == c.successes
+    assert counts["D"] == d.successes
+    assert counts["B"] <= counts["C"] + counts["D"]
 
 
 def test_coupled_event_implications():
@@ -231,6 +231,33 @@ def test_event_a_deterministic_and_rare():
     vals2 = [sample_event_a(clocks.derive_seed(333, i), params) for i in range(300)]
     assert vals == vals2
     assert 0 <= sum(vals) < 100
+
+
+def test_event_a_matches_snapshot_oracle():
+    # Occupancy only grows between fires, so w's neighbourhood connects to
+    # the cone before j_last exactly when it is connected in the replayed
+    # occupancy just before some fire or just before j_last.
+    params = EventParams(8)
+    w, cone = params.w_site, params.cone()
+    window = estimators.event_a_window(params)
+    outcomes = []
+    for i in range(300):
+        seed = clocks.derive_seed(31, i)
+        jumps = clocks.jumps_in(seed, w, 0.0, T_C)
+        expected = False
+        if jumps:
+            j_last = jumps[-1]
+            state, records = firesim.run(window, seed, j_last, collect_events=True)
+            for t in [rec.time for rec in records] + [j_last]:
+                occ = firesim.reconstruct_occupancy(window, state.events, records,
+                                                    t, strict=True)
+                config = GrowthConfiguration(window, t, True, occ.astype(bool))
+                if percolation.is_connected(w, cone, config):
+                    expected = True
+                    break
+        assert sample_event_a(seed, params) == expected, i
+        outcomes.append(expected)
+    assert any(outcomes) and not all(outcomes)
 
 
 def test_left_right_reflection():
