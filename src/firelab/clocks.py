@@ -3,7 +3,9 @@
 Every site owns an independent clock.  The j-th uniform of site ``(k, l)``
 under a run seed is a pure hash of ``(seed, k, l, j)`` (splitmix64 output
 function over a mixed per-site state), so any site's clock is available in
-O(1) without storing the field.  Inter-arrival gaps are Exponential(1) via
+O(1) without storing the field.  ``site_state`` and ``gap_from_state`` split
+that chain, on one site or on arrays of sites: a caller that draws many gaps
+of one site mixes its state once.  Inter-arrival gaps are Exponential(1) via
 inversion; jump lists are cumulative gap sums, generated lazily and
 consistent under horizon extension.
 """
@@ -30,22 +32,47 @@ def mix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
-def site_state(seed: int, site: Site) -> int:
-    """Per-site base state; sequential mixing keeps streams uncorrelated."""
+def _mix64_np(x: np.ndarray) -> np.ndarray:
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(MIX_A)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(MIX_B)
+    return x ^ (x >> np.uint64(31))
+
+
+def site_state(seed: int, site):
+    """Base state of a site's stream; sequential mixing keeps streams
+    uncorrelated.  ``site`` is one ``(k, l)`` pair, or a pair of int arrays
+    (then the states are a uint64 array of their shape)."""
     h = mix64((seed & MASK64) ^ GOLDEN)
-    h = mix64(h ^ (site[0] & MASK64))
-    return mix64(h ^ (site[1] & MASK64))
+    k, l = site
+    if isinstance(k, np.ndarray):
+        with np.errstate(over="ignore"):
+            h = _mix64_np(np.uint64(h) ^ k.astype(np.uint64))
+            return _mix64_np(h ^ l.astype(np.uint64))
+    return mix64(mix64(h ^ (k & MASK64)) ^ (l & MASK64))
 
 
-def _to_unit(h: int) -> float:
+def _uniform_from_state(h, j: int):
     # Strictly inside (0, 1): arrivals stay positive and finite.
-    return ((h >> 11) + 0.5) * 2.0 ** -53
+    if isinstance(h, np.ndarray):
+        with np.errstate(over="ignore"):
+            h = _mix64_np(h + np.uint64(((j + 1) * GOLDEN) & MASK64))
+        return ((h >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
+    return ((mix64((h + (j + 1) * GOLDEN) & MASK64) >> 11) + 0.5) * 2.0 ** -53
+
+
+def gap_from_state(h, j: int):
+    """The j-th inter-arrival gap of the stream with base state ``h`` (a
+    float for an int state, an array for a uint64 array of states)."""
+    # np.log1p (not math.log1p): the scalar and array paths must produce
+    # bit-identical gaps, and numpy's scalar kernel matches its array kernel
+    # while libm differs by 1 ulp on ~0.7% of inputs.
+    g = -np.log1p(-_uniform_from_state(h, j))
+    return g if isinstance(h, np.ndarray) else float(g)
 
 
 def uniform(seed: int, site: Site, j: int) -> float:
     """The j-th uniform of a site's stream."""
-    h = site_state(seed, site)
-    return _to_unit(mix64((h + (j + 1) * GOLDEN) & MASK64))
+    return _uniform_from_state(site_state(seed, site), j)
 
 
 def derive_seed(base_seed: int, index: int) -> int:
@@ -56,10 +83,7 @@ def derive_seed(base_seed: int, index: int) -> int:
 def gap(seed: int, site: Site, j: int) -> float:
     """The j-th inter-arrival gap of a site's clock; jump j is the sum of
     gaps 0..j, added in that order."""
-    # np.log1p (not math.log1p): the scalar and grid paths must produce
-    # bit-identical gaps, and numpy's scalar kernel matches its array kernel
-    # while libm differs by 1 ulp on ~0.7% of inputs.
-    return -float(np.log1p(-uniform(seed, site, j)))
+    return gap_from_state(site_state(seed, site), j)
 
 
 def first_arrival_value(seed: int, site: Site) -> float:
@@ -88,31 +112,14 @@ def jumps_in(seed: int, site: Site, t_from: float, t_to: float) -> list[float]:
         j += 1
 
 
-def _mix64_np(x: np.ndarray) -> np.ndarray:
-    x = (x ^ (x >> np.uint64(30))) * np.uint64(MIX_A)
-    x = (x ^ (x >> np.uint64(27))) * np.uint64(MIX_B)
-    return x ^ (x >> np.uint64(31))
-
-
 def uniform_grid(seed: int, window: Window, j: int = 0) -> np.ndarray:
     """Vectorized ``uniform(seed, site, j)`` over all window sites.
 
     Bit-identical to the scalar path: same mixing chain on uint64.
     """
-    K, L = window.axial_grids()
-    with np.errstate(over="ignore"):
-        h0 = np.uint64(mix64((seed & MASK64) ^ GOLDEN))
-        h = _mix64_np(h0 ^ K.astype(np.uint64))
-        h = _mix64_np(h ^ L.astype(np.uint64))
-        h = _mix64_np(h + np.uint64(((j + 1) * GOLDEN) & MASK64))
-    return ((h >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
-
-
-def gap_grid(seed: int, window: Window, j: int) -> np.ndarray:
-    """Vectorized ``gap(seed, site, j)`` over all window sites."""
-    return -np.log1p(-uniform_grid(seed, window, j))
+    return _uniform_from_state(site_state(seed, window.axial_grids()), j)
 
 
 def first_arrival_grid(seed: int, window: Window) -> np.ndarray:
     """First jump times for all window sites, shape (n_rows, n_cols)."""
-    return gap_grid(seed, window, 0)
+    return gap_from_state(site_state(seed, window.axial_grids()), 0)

@@ -5,10 +5,17 @@ at the jumps of its own clock; every jump of a boundary-row clock (l == 0)
 instantaneously destroys the occupied clusters of the four sites adjacent
 to it.  The boundary row itself is held vacant at all times.
 
-A run merges one sorted schedule of first arrivals (growth in rows l >= 1,
-rings in row 0) with a heap of later jumps.  A site's later jump enters the
-heap when it rings or burns, read from a per-site clock cursor that only
-moves forward, so no clock stream is summed twice.
+Between two rings the fire only adds trees, so a run processes only the
+rings.  Every site in rows l >= 1 keeps a clock cursor: its first arrival,
+then after each burn its first jump past the fire.  At a ring at time t a
+site is occupied exactly when its cursor is below t, which keeps the
+(t, l, k) order in which a ring comes before a growth at the same t.  The
+rings of row 0 are hashed for the whole row at once and sorted by (t, k);
+each fire is a breadth-first search from the ring's two row-1 neighbours
+that moves every burnt site's cursor past t.  The event log, when asked
+for, is derived afterwards: a grow event at each first arrival and each
+post-burn cursor value up to t_end, merged with the rings in (t, l, k)
+order.
 
 The process factorizes over fire cells: the clusters of the growth
 snapshot at t_c together with their outer boundaries.  A cell whose
@@ -16,9 +23,7 @@ closure stays clear of the left, right and top window edges evolves
 exactly as in the infinite volume, which is what certification means here.
 """
 
-import heapq
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -114,119 +119,103 @@ def run(window: Window, seed: int, t_end: float = T_C,
         raise ValueError("t_end must be positive")
     if mask is None and window.l_min != 0:
         raise ValueError("forest-fire windows live on the half-plane, l_min = 0")
-    ctx = _FireRun(window, seed, t_end, mask, collect_events)
-    ctx.execute()
-    state = FireState(window, ctx.occ, t_end, mask, ctx.events, ctx.arrivals)
-    return state, ctx.records
+    K, L = window.axial_grids()
+    states = clocks.site_state(seed, (K, L))
+    arrivals = clocks.gap_from_state(states, 0)
+    live = L >= 1 if mask is None else (L >= 1) & mask
+    ring_t, ring_k = _ring_schedule(window, t_end, mask, states, arrivals)
 
+    # Clock cursors (module docstring) in a flat list padded by one site on
+    # each side.  Dead and padding sites hold +inf and are never occupied.
+    stride = window.n_cols + 2
+    cur = np.full((window.n_rows + 2, stride), np.inf)
+    cur[1:-1, 1:-1][live] = arrivals[live]
+    cur = cur.ravel().tolist()
+    jumps = {}  # burnt site's flat index -> index j of its cursor's jump
+    regrown = [] if collect_events else None
+    k0, l0 = window.k_min - 1, window.l_min - 1
 
-class _FireRun:
-    """Mutable single-run state; one instance per run, not shared."""
+    def burn(i: int, t: float) -> None:
+        """Move site i's cursor to its first clock jump after t."""
+        r, c = divmod(i, stride)
+        h = int(states[r - 1, c - 1])
+        s, j = cur[i], jumps.get(i, 0)
+        while s <= t:
+            j += 1
+            s += clocks.gap_from_state(h, j)
+        cur[i] = s
+        jumps[i] = j
+        if regrown is not None and s <= t_end:
+            regrown.append((s, c + k0, r + l0))
 
-    def __init__(self, window, seed, t_end, mask, collect_events):
-        self.window = window
-        self.seed = seed
-        self.t_end = t_end
-        self.records: list[DestructionRecord] = []
-        self.events: list[FireEvent] | None = [] if collect_events else None
-
-        n_rows, n_cols = window.n_rows, window.n_cols
-        self.n_cols = n_cols
-        self.n_rows = n_rows
-        self.arrivals = arrivals = clocks.first_arrival_grid(seed, window)
-        self.occ = np.zeros((n_rows, n_cols), dtype=np.uint8)
-
-        # Clock cursor: every site's next known jump after its first arrival
-        # and that jump's index.  Jump j of a site is a pure function of
-        # (seed, site, j), and the cursor adds the gaps in the order
-        # clocks.jumps_in does, so its times are the same floats.
-        self.cursor_t = arrivals + clocks.gap_grid(seed, window, 1)
-        self.cursor_j = np.ones((n_rows, n_cols), dtype=np.int64)
-
-        # First arrivals of growth (rows l >= 1) and first boundary rings
-        # (row l = 0), in (t, l, k) order.  A site's later jump enters the
-        # heap when the site rings or burns; a burnt site stays vacant until
-        # that entry, so every growth event finds its site vacant.
-        K, L = window.axial_grids()
-        due = (L >= 0) & (arrivals <= t_end)
-        if mask is not None:
-            due &= mask
-        flat = np.flatnonzero(due.ravel())
-        ls, ks = L.ravel()[flat], K.ravel()[flat]
-        ts = arrivals.ravel()[flat]
-        order = np.lexsort((ks, ls, ts))
-        self.schedule = list(zip(ts[order].tolist(), ls[order].tolist(),
-                                 ks[order].tolist()))
-        self.heap: list[tuple[float, int, int]] = []  # (t, l, k)
-
-    def execute(self) -> None:
-        schedule, heap = self.schedule, self.heap
-        occ, events = self.occ, self.events
-        i, n = 0, len(schedule)
-        l_min, k_min = self.window.l_min, self.window.k_min
-        while True:
-            if i < n:
-                event = schedule[i]
-                if heap and heap[0] < event:
-                    event = heapq.heappop(heap)
-                else:
-                    i += 1
-            elif heap:
-                event = heapq.heappop(heap)
-            else:
-                return
-            t, l, k = event
-            if l == 0:
-                self._ring(t, k)
-            else:
-                occ[l - l_min, k - k_min] = 1
-                if events is not None:
-                    events.append(FireEvent(t, (k, l), "grow"))
-
-    def _queue_next_jump(self, r: int, c: int, t: float) -> None:
-        """Push the first jump of site (r, c)'s clock after t, if by t_end."""
-        s = float(self.cursor_t[r, c])
-        if s <= t:
-            j = int(self.cursor_j[r, c])
-            site = (c + self.window.k_min, r + self.window.l_min)
-            while s <= t:
-                j += 1
-                s += clocks.gap(self.seed, site, j)
-            self.cursor_t[r, c] = s
-            self.cursor_j[r, c] = j
-        if s <= self.t_end:
-            heapq.heappush(self.heap, (s, r + self.window.l_min,
-                                       c + self.window.k_min))
-
-    def _ring(self, t: float, k: int) -> None:
-        if self.events is not None:
-            self.events.append(FireEvent(t, (k, 0), "ring"))
-        window = self.window
-        occ = self.occ
-        n_rows, n_cols = self.n_rows, self.n_cols
-        l_min, k_min = window.l_min, window.k_min
-        self._queue_next_jump(-l_min, k - k_min, t)  # this clock's next ring
-        for (vk, vl) in ((k, 1), (k - 1, 1)):
-            r, c = vl - l_min, vk - k_min
-            if not (0 <= r < n_rows and 0 <= c < n_cols):
+    offsets = [dl * stride + dk for dl, dk in GRID_OFFSETS]
+    row1 = (1 - l0) * stride - k0  # row1 + k is the flat index of (k, 1)
+    records = []
+    for t, k in zip(ring_t, ring_k):
+        for start in (row1 + k, row1 + k - 1):
+            if cur[start] >= t:
                 continue
-            if not occ[r, c]:
-                continue
-            # BFS over the occupied cluster; clear as we collect.
-            stack = deque([(r, c)])
-            occ[r, c] = 0
-            burned = []
-            while stack:
-                rr, cc = stack.popleft()
-                burned.append((cc + k_min, rr + l_min))
-                self._queue_next_jump(rr, cc, t)
-                for dl, dk in GRID_OFFSETS:
-                    r2, c2 = rr + dl, cc + dk
-                    if 0 <= r2 < n_rows and 0 <= c2 < n_cols and occ[r2, c2]:
-                        occ[r2, c2] = 0
-                        stack.append((r2, c2))
-            sites = np.array(burned, dtype=np.int64)
-            self.records.append(DestructionRecord(t, (k, 0), sites))
+            # BFS over the occupied cluster; a site leaves it as it burns.
+            burn(start, t)
+            burned = [start]
+            for i in burned:
+                for d in offsets:
+                    if cur[i + d] < t:
+                        burn(i + d, t)
+                        burned.append(i + d)
+            sites = np.array([(i % stride + k0, i // stride + l0) for i in burned],
+                             dtype=np.int64)
+            records.append(DestructionRecord(t, (k, 0), sites))
+
+    grown = live & (arrivals <= t_end)
+    occ = grown.astype(np.uint8)
+    for i in jumps:
+        occ[i // stride - 1, i % stride - 1] = cur[i] <= t_end
+    events = None
+    if collect_events:
+        events = _event_log(window, arrivals, grown, ring_t, ring_k, regrown)
+    return FireState(window, occ, t_end, mask, events, arrivals), records
+
+
+def _ring_schedule(window: Window, t_end: float, mask: np.ndarray | None,
+                   states: np.ndarray, arrivals: np.ndarray):
+    """Every jump by ``t_end`` of the row-0 clocks in the run, as lists of
+    times and ks in (t, k) order."""
+    if not window.l_min <= 0 <= window.l_max:
+        return [], []
+    r = -window.l_min
+    ks = np.arange(window.k_min, window.k_max + 1)
+    h, t = states[r], arrivals[r]
+    if mask is not None:
+        ks, h, t = ks[mask[r]], h[mask[r]], t[mask[r]]
+    all_t, all_k = [t[:0]], [ks[:0]]
+    j = 0
+    while (due := t <= t_end).any():
+        t, ks, h = t[due], ks[due], h[due]
+        all_t.append(t)
+        all_k.append(ks)
+        j += 1
+        # Jump j is jump j - 1 plus gap j, as in clocks.jumps_in.
+        t = t + clocks.gap_from_state(h, j)
+    ts, ks = np.concatenate(all_t), np.concatenate(all_k)
+    order = np.lexsort((ks, ts))
+    return ts[order].tolist(), ks[order].tolist()
+
+
+def _event_log(window: Window, arrivals: np.ndarray, first: np.ndarray,
+               ring_t: list, ring_k: list, regrown: list):
+    """A run's grow and ring events in (t, l, k) order.
+
+    A site grows at its first arrival (where ``first``) and at every cursor
+    value up to t_end that a burn sets (``regrown``); nothing else grows.
+    """
+    K, L = window.axial_grids()
+    timeline = [(t, 0, k, "ring") for t, k in zip(ring_t, ring_k)]
+    timeline += [(t, l, k, "grow") for t, l, k in
+                 zip(arrivals[first].tolist(), L[first].tolist(), K[first].tolist())]
+    timeline += [(t, l, k, "grow") for t, k, l in regrown]
+    timeline.sort()
+    return [FireEvent(t, (k, l), kind) for t, l, k, kind in timeline]
 
 
 def reconstruct_occupancy(window: Window, events: list[FireEvent],

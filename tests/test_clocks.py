@@ -31,6 +31,36 @@ def test_scalar_matches_grid():
         assert clocks.first_arrival_value(2718, site) == arr[window.index(site)]
 
 
+def _reference_gap(seed, site, j):
+    """The stream's definition written out: splitmix64 over seed, k, l, j."""
+    mix, mask, golden = clocks.mix64, clocks.MASK64, clocks.GOLDEN
+    h = mix((seed & mask) ^ golden)
+    h = mix(mix(h ^ (site[0] & mask)) ^ (site[1] & mask))
+    u = ((mix((h + (j + 1) * golden) & mask) >> 11) + 0.5) * 2.0 ** -53
+    return -float(np.log1p(-u))
+
+
+def test_gap_from_state_matches_gap_bit_for_bit():
+    # The fire loop's cursor adds scalar gaps from a cached state and its
+    # ring schedule adds array gaps; both must be clocks.gap's floats.
+    rng = np.random.default_rng(71)
+    checked = 0
+    for seed in rng.integers(0, 2**63, size=20).tolist() + [0, 2**64 - 1, -3]:
+        ks = np.concatenate((rng.integers(-10**6, 10**6, size=18), [-1, 2**31]))
+        ls = np.concatenate((rng.integers(-10**6, 10**6, size=18), [2**31, -1]))
+        states = clocks.site_state(seed, (ks, ls))
+        for j in range(13):
+            grid = clocks.gap_from_state(states, j)
+            for k, l, h, g in zip(ks.tolist(), ls.tolist(), states.tolist(),
+                                  grid.tolist()):
+                want = _reference_gap(seed, (k, l), j)
+                assert clocks.gap(seed, (k, l), j) == want
+                assert clocks.gap_from_state(h, j) == want
+                assert g == want
+                checked += 1
+    assert checked >= 5000
+
+
 def test_occupation_probability_at_tc():
     # A site has a jump by t_c with probability exactly 1/2.
     window = Window(0, 999, 0, 999)

@@ -95,10 +95,11 @@ def test_run_deterministic():
 def test_invariant_suite():
     """Domination, boundary vacancy, growth and destruction provenance."""
     window = Window(-8, 8, 0, 7)
-    probes = [T_C * frac for frac in (0.2, 0.5, 0.8)]
     for i in range(120):
         seed = clocks.derive_seed(2001, i)
-        assert invariants.fire_run_failures(window, seed, T_C, probes) == []
+        for t_end in (T_C, 0.5):
+            probes = [t_end * frac for frac in (0.2, 0.5, 0.8)]
+            assert invariants.fire_run_failures(window, seed, t_end, probes) == []
 
 
 def test_fire_log_checker_reports_corrupted_logs():
@@ -484,13 +485,28 @@ def test_runner_matches_naive_reference():
     for i in range(300):
         seed = clocks.derive_seed(123456, i)
         window = Window(-5 - (i % 4), 5 + (i % 3), 0, 4 + (i % 4))
-        state, recs = run(window, seed, T_C)
-        occ_naive, recs_naive = _naive_run(window, seed, T_C)
-        for site in window.sites():
-            assert bool(state.occupied(site)) == bool(occ_naive.get(site, False))
-        got = [(r.time, r.ignition, frozenset(map(tuple, r.sites.tolist())))
-               for r in recs]
-        assert got == recs_naive
+        for t_end in (T_C, 0.5):
+            state, recs = run(window, seed, t_end)
+            occ_naive, recs_naive = _naive_run(window, seed, t_end)
+            for site in window.sites():
+                assert bool(state.occupied(site)) == bool(occ_naive.get(site, False))
+            got = [(r.time, r.ignition, frozenset(map(tuple, r.sites.tolist())))
+                   for r in recs]
+            assert got == recs_naive
+
+
+def test_masked_run_above_the_boundary_row_only_grows():
+    # A cell closure may start above row 0: no boundary clock, no fire, and
+    # each masked site is occupied exactly when it has arrived.
+    window = Window(-4, 5, 2, 6)
+    for i in range(100):
+        seed = clocks.derive_seed(4040, i)
+        mask = np.random.default_rng(i).random((window.n_rows, window.n_cols)) < 0.7
+        arrivals = clocks.first_arrival_grid(seed, window)
+        for t_end in (T_C, 0.5):
+            state, records = run(window, seed, t_end, mask=mask)
+            assert records == []
+            assert (state.occ.astype(bool) == (mask & (arrivals <= t_end))).all()
 
 
 def test_destruction_log_rows_and_summary():
