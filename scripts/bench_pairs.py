@@ -5,7 +5,8 @@
         --pairs 10 --seed 31 --out BENCH.json
 
 Each pair runs ``python3 perfbench/run.py --workload W --seed S+p`` once in
-each checkout, in its own directory and interpreter; the side that goes
+each checkout, in its own directory and interpreter and at perfbench's own
+run length; the side that goes
 first alternates from pair to pair, so a drift in machine speed does not
 favour one side.  The output file holds every run's end-to-end metrics and
 result checks with perfbench's report of the environment, each side's
@@ -26,11 +27,9 @@ from pathlib import Path
 HIGHER_IS_BETTER = {"samples_per_s_norm": True, "setup_s": False, "peak_rss_mb": False}
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float | None) -> dict:
+def run_once(checkout: Path, workload: str, seed: int) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed)]
-    if seconds is not None:
-        cmd += ["--seconds", str(seconds)]
     t0 = time.monotonic()
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     wall = time.monotonic() - t0
@@ -85,8 +84,6 @@ def main(argv=None) -> int:
     p.add_argument("--workload", required=True)
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seed", type=int, required=True, help="seed of pair 0; pair p uses seed + p")
-    p.add_argument("--seconds", type=float, default=None,
-                   help="passed to perfbench/run.py (default: its own)")
     p.add_argument("--out", type=Path, required=True)
     args = p.parse_args(argv)
 
@@ -96,7 +93,7 @@ def main(argv=None) -> int:
         seed = args.seed + pair
         order = ("base", "change") if pair % 2 == 0 else ("change", "base")
         for side in order:
-            res = run_once(sides[side], args.workload, seed, args.seconds)
+            res = run_once(sides[side], args.workload, seed)
             res["pair"], res["ran"] = pair, order.index(side)
             runs[side].append(res)
             print(f"pair {pair} {side:<6} seed {seed} "
@@ -104,7 +101,6 @@ def main(argv=None) -> int:
                   + f" failed={res['failed']}", flush=True)
 
     out = {"workload": args.workload, "pairs": args.pairs, "first_seed": args.seed,
-           "seconds": args.seconds,
            "source_sha256": {k: source_digest(v) for k, v in sides.items()},
            "platform": platform.platform(), "summary": summarise(runs), "runs": runs}
     args.out.write_text(json.dumps(out, indent=1) + "\n", encoding="utf-8")

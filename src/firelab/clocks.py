@@ -83,7 +83,10 @@ def derive_seed(base_seed: int, index: int) -> int:
 def gap(seed: int, site: Site, j: int) -> float:
     """The j-th inter-arrival gap of a site's clock; jump j is the sum of
     gaps 0..j, added in that order."""
-    return gap_from_state(site_state(seed, site), j)
+    # Through ``uniform`` (bit-identical to ``gap_from_state``, see
+    # tests/test_clocks.py), so that perfbench's tracer, which wraps
+    # ``uniform``, still counts every scalar draw.
+    return -float(np.log1p(-uniform(seed, site, j)))
 
 
 def first_arrival_value(seed: int, site: Site) -> float:
