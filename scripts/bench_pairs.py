@@ -11,6 +11,9 @@ first alternates from pair to pair, so a drift in machine speed does not
 favour one side.  The output file holds every run's end-to-end metrics and
 result checks with perfbench's report of the environment, each side's
 median and quartiles per metric, and the pairs the change wins on each.
+With ``--workload all`` one run covers every workload in one interpreter
+and the metrics are keyed ``workload.metric``, as perfbench prints them;
+``peak_rss_mb`` is then the process's peak so far, not one workload's.
 """
 
 import argparse
@@ -63,7 +66,8 @@ def quartiles(values: list[float]) -> dict:
 
 def summarise(runs: dict) -> dict:
     summary = {}
-    for metric, higher in HIGHER_IS_BETTER.items():
+    for metric in runs["base"][0]["metrics"]:
+        higher = HIGHER_IS_BETTER[metric.rsplit(".", 1)[-1]]
         base = [r["metrics"][metric] for r in runs["base"]]
         change = [r["metrics"][metric] for r in runs["change"]]
         b, c = quartiles(base), quartiles(change)
@@ -81,7 +85,7 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     p.add_argument("base", type=Path, help="checkout the change is measured against")
     p.add_argument("change", type=Path, help="checkout with the change")
-    p.add_argument("--workload", required=True)
+    p.add_argument("--workload", required=True, help="a perfbench workload, or all")
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seed", type=int, required=True, help="seed of pair 0; pair p uses seed + p")
     p.add_argument("--out", type=Path, required=True)

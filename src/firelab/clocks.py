@@ -8,6 +8,13 @@ that chain, on one site or on arrays of sites: a caller that draws many gaps
 of one site mixes its state once.  Inter-arrival gaps are Exponential(1) via
 inversion; jump lists are cumulative gap sums, generated lazily and
 consistent under horizon extension.
+
+A window's states (``window_states``) are the broadcast of a per-column mix
+of ``k`` and a per-row ``^ l``: the seed's mix is shared by all sites and the
+``k`` mix by a column, so only the last two mixes run per site.  The array
+mixes work in place on a fresh array with one scratch buffer and leave the
+states they read unchanged; every array result equals the scalar chain bit
+for bit.
 """
 
 import math
@@ -23,6 +30,10 @@ MIX_B = 0x94D049BB133111EB
 
 T_C = math.log(2.0)
 
+# The array path's constants, as uint64 scalars so that no call converts them.
+_MIX_A, _MIX_B = np.uint64(MIX_A), np.uint64(MIX_B)
+_S11, _S27, _S30, _S31 = (np.uint64(s) for s in (11, 27, 30, 31))
+
 
 def mix64(x: int) -> int:
     """splitmix64 output function (finalizer) on a 64-bit state."""
@@ -32,47 +43,84 @@ def mix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
-def _mix64_np(x: np.ndarray) -> np.ndarray:
-    x = (x ^ (x >> np.uint64(30))) * np.uint64(MIX_A)
-    x = (x ^ (x >> np.uint64(27))) * np.uint64(MIX_B)
-    return x ^ (x >> np.uint64(31))
+def _mix64_np(x: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """``mix64`` on a uint64 array, in place; ``tmp`` is scratch of its shape."""
+    np.right_shift(x, _S30, out=tmp)
+    x ^= tmp
+    x *= _MIX_A
+    np.right_shift(x, _S27, out=tmp)
+    x ^= tmp
+    x *= _MIX_B
+    np.right_shift(x, _S31, out=tmp)
+    x ^= tmp
+    return x
+
+
+# The scalar chain: pure Python ints, no type dispatch, so that ``uniform``,
+# the hot scalar draw of the lazy one-arm walk, costs only its four mixes.
+def _scalar_state(seed: int, k: int, l: int) -> int:
+    return mix64(mix64(mix64((seed & MASK64) ^ GOLDEN) ^ (k & MASK64)) ^ (l & MASK64))
+
+
+def _scalar_uniform(h: int, j: int) -> float:
+    # Strictly inside (0, 1): arrivals stay positive and finite.
+    return ((mix64((h + (j + 1) * GOLDEN) & MASK64) >> 11) + 0.5) * 2.0 ** -53
 
 
 def site_state(seed: int, site):
     """Base state of a site's stream; sequential mixing keeps streams
     uncorrelated.  ``site`` is one ``(k, l)`` pair, or a pair of int arrays
-    (then the states are a uint64 array of their shape)."""
-    h = mix64((seed & MASK64) ^ GOLDEN)
+    that broadcast together (then the states are a uint64 array of the
+    broadcast shape, and ``k`` is mixed at its own shape: a row of columns
+    is mixed once, not once per row)."""
     k, l = site
-    if isinstance(k, np.ndarray):
-        with np.errstate(over="ignore"):
-            h = _mix64_np(np.uint64(h) ^ k.astype(np.uint64))
-            return _mix64_np(h ^ l.astype(np.uint64))
-    return mix64(mix64(h ^ (k & MASK64)) ^ (l & MASK64))
+    if not isinstance(k, np.ndarray):
+        return _scalar_state(seed, k, l)
+    h = k.astype(np.uint64)
+    h ^= np.uint64(mix64((seed & MASK64) ^ GOLDEN))
+    h = _mix64_np(h, np.empty_like(h)) ^ l.astype(np.uint64)
+    return _mix64_np(h, np.empty_like(h))
 
 
-def _uniform_from_state(h, j: int):
-    # Strictly inside (0, 1): arrivals stay positive and finite.
-    if isinstance(h, np.ndarray):
-        with np.errstate(over="ignore"):
-            h = _mix64_np(h + np.uint64(((j + 1) * GOLDEN) & MASK64))
-        return ((h >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
-    return ((mix64((h + (j + 1) * GOLDEN) & MASK64) >> 11) + 0.5) * 2.0 ** -53
+def window_states(seed: int, window: Window) -> np.ndarray:
+    """``site_state`` of every window site, shape (n_rows, n_cols): the
+    broadcast of a per-column mix of k and a per-row ``^ l``."""
+    ks = np.arange(window.k_min, window.k_max + 1, dtype=np.int64)
+    ls = np.arange(window.l_min, window.l_max + 1, dtype=np.int64)
+    return site_state(seed, (ks, ls[:, None]))
+
+
+def _uniform_from_state(h: np.ndarray, j: int) -> np.ndarray:
+    """``_scalar_uniform`` over a uint64 array of states."""
+    x = h + np.uint64(((j + 1) * GOLDEN) & MASK64)  # a fresh array: h is kept
+    tmp = np.empty_like(x)
+    _mix64_np(x, tmp)
+    x >>= _S11
+    u = tmp.view(np.float64)  # x's scratch, free again, holds the result
+    np.add(x, 0.5, out=u)
+    u *= 2.0 ** -53
+    return u
 
 
 def gap_from_state(h, j: int):
     """The j-th inter-arrival gap of the stream with base state ``h`` (a
-    float for an int state, an array for a uint64 array of states)."""
+    float for an int state, an array for a uint64 array of states; the
+    states are left unchanged)."""
     # np.log1p (not math.log1p): the scalar and array paths must produce
     # bit-identical gaps, and numpy's scalar kernel matches its array kernel
     # while libm differs by 1 ulp on ~0.7% of inputs.
-    g = -np.log1p(-_uniform_from_state(h, j))
-    return g if isinstance(h, np.ndarray) else float(g)
+    if not isinstance(h, np.ndarray):
+        return -float(np.log1p(-_scalar_uniform(h, j)))
+    g = _uniform_from_state(h, j)
+    np.negative(g, out=g)
+    np.log1p(g, out=g)
+    np.negative(g, out=g)
+    return g
 
 
 def uniform(seed: int, site: Site, j: int) -> float:
     """The j-th uniform of a site's stream."""
-    return _uniform_from_state(site_state(seed, site), j)
+    return _scalar_uniform(_scalar_state(seed, site[0], site[1]), j)
 
 
 def derive_seed(base_seed: int, index: int) -> int:
@@ -120,9 +168,9 @@ def uniform_grid(seed: int, window: Window, j: int = 0) -> np.ndarray:
 
     Bit-identical to the scalar path: same mixing chain on uint64.
     """
-    return _uniform_from_state(site_state(seed, window.axial_grids()), j)
+    return _uniform_from_state(window_states(seed, window), j)
 
 
 def first_arrival_grid(seed: int, window: Window) -> np.ndarray:
     """First jump times for all window sites, shape (n_rows, n_cols)."""
-    return gap_from_state(site_state(seed, window.axial_grids()), 0)
+    return gap_from_state(window_states(seed, window), 0)

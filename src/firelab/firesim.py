@@ -120,17 +120,24 @@ def run(window: Window, seed: int, t_end: float = T_C,
     if mask is None and window.l_min != 0:
         raise ValueError("forest-fire windows live on the half-plane, l_min = 0")
     K, L = window.axial_grids()
-    states = clocks.site_state(seed, (K, L))
+    states = clocks.window_states(seed, window)
     arrivals = clocks.gap_from_state(states, 0)
     live = L >= 1 if mask is None else (L >= 1) & mask
     ring_t, ring_k = _ring_schedule(window, t_end, mask, states, arrivals)
 
-    # Clock cursors (module docstring) in a flat list padded by one site on
-    # each side.  Dead and padding sites hold +inf and are never occupied.
+    # Clock cursors (module docstring) in a flat list, and each site's gap 1,
+    # the first step of its first burn, in a flat array, both padded by one
+    # site on each side.  Dead and padding sites hold +inf and are never
+    # occupied.
     stride = window.n_cols + 2
-    cur = np.full((window.n_rows + 2, stride), np.inf)
-    cur[1:-1, 1:-1][live] = arrivals[live]
-    cur = cur.ravel().tolist()
+
+    def padded(grid: np.ndarray) -> np.ndarray:
+        flat = np.full((window.n_rows + 2, stride), np.inf)
+        flat[1:-1, 1:-1][live] = grid[live]
+        return flat.ravel()
+
+    cur = padded(arrivals).tolist()
+    gap1 = padded(clocks.gap_from_state(states, 1))
     jumps = {}  # burnt site's flat index -> index j of its cursor's jump
     regrown = [] if collect_events else None
     k0, l0 = window.k_min - 1, window.l_min - 1
@@ -138,11 +145,10 @@ def run(window: Window, seed: int, t_end: float = T_C,
     def burn(i: int, t: float) -> None:
         """Move site i's cursor to its first clock jump after t."""
         r, c = divmod(i, stride)
-        h = int(states[r - 1, c - 1])
         s, j = cur[i], jumps.get(i, 0)
         while s <= t:
             j += 1
-            s += clocks.gap_from_state(h, j)
+            s += gap1.item(i) if j == 1 else clocks.gap_from_state(int(states[r - 1, c - 1]), j)
         cur[i] = s
         jumps[i] = j
         if regrown is not None and s <= t_end:

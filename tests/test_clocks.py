@@ -61,6 +61,61 @@ def test_gap_from_state_matches_gap_bit_for_bit():
     assert checked >= 5000
 
 
+def _meshgrid_states(seed, window):
+    """site_state over the full (K, L) meshgrids, mixed out of place."""
+    def mix(x):
+        x = (x ^ (x >> np.uint64(30))) * np.uint64(clocks.MIX_A)
+        x = (x ^ (x >> np.uint64(27))) * np.uint64(clocks.MIX_B)
+        return x ^ (x >> np.uint64(31))
+    K, L = window.axial_grids()
+    h = np.uint64(clocks.mix64((seed & clocks.MASK64) ^ clocks.GOLDEN))
+    return mix(mix(h ^ K.astype(np.uint64)) ^ L.astype(np.uint64))
+
+
+FACTOR_WINDOWS = [
+    Window(-7, 5, -4, 3),                         # negative k and l
+    Window(3, 11, 5, 9),                          # l_min != 0
+    Window(-6, 6, 4, 4),                          # a single row
+    Window(2, 2, -3, 6),                          # a single column
+    Window(2**31 - 3, 2**31 + 2, 2**31 - 1, 2**31),
+    Window(-2**31, -2**31 + 4, -2**31 - 1, -2**31 + 1),
+]
+
+
+@pytest.mark.parametrize("window", FACTOR_WINDOWS)
+def test_factored_states_match_reference_chain(window):
+    # The window's states mix k once per column and broadcast ^ l per row;
+    # they must equal the chain over the full meshgrid and, through every
+    # grid function, the written-out splitmix64 reference at each site.
+    K, L = window.axial_grids()
+    sites = list(zip(K.ravel().tolist(), L.ravel().tolist()))
+    for seed in (0, 2**64 - 1, -3, 2718):
+        states = clocks.window_states(seed, window)
+        assert states.dtype == np.uint64 and states.shape == K.shape
+        assert np.array_equal(states, _meshgrid_states(seed, window))
+        assert np.array_equal(states, clocks.site_state(seed, (K, L)))
+        assert states.ravel().tolist() == [clocks.site_state(seed, s) for s in sites]
+        for j in (0, 1, 6):
+            want = [_reference_gap(seed, s, j) for s in sites]
+            assert clocks.gap_from_state(states, j).ravel().tolist() == want
+            us = clocks.uniform_grid(seed, window, j).ravel().tolist()
+            assert [-float(np.log1p(-u)) for u in us] == want
+        assert clocks.first_arrival_grid(seed, window).ravel().tolist() == \
+            [_reference_gap(seed, s, 0) for s in sites]
+
+
+def test_array_draws_leave_states_unchanged():
+    # The fire loop draws several gaps from one state grid and from its
+    # rows, so no draw may mix the states it reads in place.
+    states = clocks.window_states(99, Window(-20, 20, 0, 9))
+    kept = states.copy()
+    for h in (states, states[0], states[:, 1::3]):
+        for j in (0, 1, 7):
+            clocks.gap_from_state(h, j)
+            clocks._uniform_from_state(h, j)
+            assert np.array_equal(states, kept)
+
+
 def test_occupation_probability_at_tc():
     # A site has a jump by t_c with probability exactly 1/2.
     window = Window(0, 999, 0, 999)
