@@ -338,8 +338,9 @@ def _resolve_side(params: EventParams, side: str) -> EventParams:
 
 
 def _sample_event_c(seed: int, params: EventParams) -> bool:
-    config = sample_configuration(params.window(), params.slice_time, seed, True)
-    return is_connected(params.w_site, params.surface(), config)
+    window = params.window()
+    occ = sample_configuration(window, params.slice_time, seed, True)
+    return is_connected(params.w_site, params.surface(), window, occ)
 
 
 def estimate_event_C(params: EventParams, samples: int, base_seed: int,
@@ -511,9 +512,9 @@ class HeightDistribution:
 
     ``heights`` and ``certified`` follow ``firesim.HeightBracket``: an
     uncertified sample's height is a lower bound, not an estimate, and the
-    ``quantile``, ``quantile_ci`` and ``cdf_points`` statistics pool those
-    lower bounds with the exact values.  ``lower`` and ``upper`` bracket
-    each sample's destruction height inside the window
+    ``quantile`` and ``quantile_ci`` statistics pool those lower bounds
+    with the exact values.  ``lower`` and ``upper`` bracket each sample's
+    destruction height inside the window
     (``firesim.height_bracket``); the ``bracket`` statistics take their
     lower ends from ``lower`` and their upper ends from ``upper``, so they
     bound the distribution itself.
@@ -560,13 +561,6 @@ class HeightDistribution:
         ``upper``."""
         return (_order_statistic_ci(self.lower, q, alpha)[0],
                 _order_statistic_ci(self.upper, q, alpha)[1])
-
-    def cdf_points(self) -> list[tuple[float, float]]:
-        """Empirical CDF of ``heights``; uncertified samples enter it as
-        lower bounds."""
-        xs = np.sort(self.heights)
-        n = xs.size
-        return [(float(x), (i + 1) / n) for i, x in enumerate(xs)]
 
 
 def height_window(height: int, width_factor: float = 3.0, center_x: float = 0.0) -> Window:

@@ -119,10 +119,10 @@ def run(window: Window, seed: int, t_end: float = T_C,
         raise ValueError("t_end must be positive")
     if mask is None and window.l_min != 0:
         raise ValueError("forest-fire windows live on the half-plane, l_min = 0")
-    K, L = window.axial_grids()
     states = clocks.window_states(seed, window)
     arrivals = clocks.gap_from_state(states, 0)
-    live = L >= 1 if mask is None else (L >= 1) & mask
+    live = np.ones(arrivals.shape, dtype=bool) if mask is None else mask.astype(bool)
+    live[:max(1 - window.l_min, 0)] = False  # trees grow in rows l >= 1 only
     ring_t, ring_k = _ring_schedule(window, t_end, mask, states, arrivals)
 
     # Clock cursors (module docstring) in a flat list, and each site's gap 1,

@@ -144,8 +144,7 @@ def _definitional_connection_time(w: Site, target, window: Window,
     arrival time up to t_c."""
     arrivals = clocks.first_arrival_grid(seed, window)
     for t in np.unique(arrivals[arrivals <= T_C]).tolist():
-        config = percolation.GrowthConfiguration(window, t, True, arrivals <= t, seed)
-        if percolation.is_connected(w, target, config):
+        if percolation.is_connected(w, target, window, arrivals <= t):
             return t
     return None
 

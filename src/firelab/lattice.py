@@ -248,9 +248,10 @@ def _clip_segment_upper(ax, ay, bx, by):
 def seg_dist_sq(px: float, py: float, ax: float, ay: float, bx: float, by: float) -> float:
     """Squared distance from point to segment.
 
-    Operation order is mirrored by the vectorized form in
-    :func:`seg_dist_sq_grid`; keep the two in sync so site/threshold
-    comparisons agree between scalar and grid code paths.
+    This scalar form, also through :func:`dist_to_rhombus_surface`, is only
+    the tests' reference for the grid masks every target band is built from.
+    Operation order is mirrored by :func:`seg_dist_sq_grid`; keep the two in
+    sync so the tests can compare site/threshold decisions exactly.
     """
     vx, vy = bx - ax, by - ay
     wx, wy = px - ax, py - ay

@@ -9,7 +9,6 @@ ending within Euclidean distance 1 of S; w's own state is ignored.
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -24,12 +23,10 @@ from .lattice import (
     RhombusSurface,
     Site,
     Window,
-    embed,
     half_plane_neighbors,
     near_cone_mask,
     near_surface_mask,
     neighbors,
-    seg_dist_sq,
 )
 
 
@@ -37,60 +34,32 @@ class WindowTooSmallError(ValueError):
     """The window does not cover the target geometry plus padding."""
 
 
-@dataclass
-class GrowthConfiguration:
-    """Occupancy snapshot of the growth process on a window."""
-
-    window: Window
-    t: float
-    half_plane: bool
-    occ: np.ndarray
-    seed: int | None = None
-    arrivals: np.ndarray | None = field(default=None, repr=False)
-
-    def occupied(self, site: Site) -> bool:
-        return bool(self.occ[self.window.index(site)])
-
-    def occupied_fraction(self) -> float:
-        return float(self.occ.mean())
-
-
 def sample_configuration(window: Window, t: float, seed: int,
-                         half_plane: bool = True) -> GrowthConfiguration:
-    """Deterministic growth snapshot at time t under a run seed."""
+                         half_plane: bool = True) -> np.ndarray:
+    """Deterministic growth snapshot at time t under a run seed, as the
+    boolean occupancy grid of the window."""
     if t < 0.0:
         raise ValueError("time must be >= 0")
     if half_plane and window.l_min != 0:
         raise ValueError("half-plane window must start at l = 0")
-    arrivals = clocks.first_arrival_grid(seed, window)
-    return GrowthConfiguration(window, t, half_plane, arrivals <= t, seed, arrivals)
-
-
-def _window_margin_bounds(window: Window, x_min: float, x_max: float,
-                          y_min: float, y_max: float, margin: float) -> bool:
-    """True when every site within ``margin`` of the bbox fits the window."""
-    l_lo = math.floor((y_min - margin) / SQRT3_2)
-    l_hi = math.ceil((y_max + margin) / SQRT3_2)
-    if window.l_min == 0:
-        l_lo = max(l_lo, 0)
-    if l_lo < window.l_min or l_hi > window.l_max:
-        return False
-    k_lo = math.floor(x_min - margin - 0.5 * l_hi)
-    k_hi = math.ceil(x_max + margin - 0.5 * min(l_lo, 0))
-    return window.k_min <= k_lo and k_hi <= window.k_max
+    return clocks.first_arrival_grid(seed, window) <= t
 
 
 def check_window(window: Window, target, half_plane: bool, pad: int = 2) -> None:
     """Raise :class:`WindowTooSmallError` unless the window extends at least
-    ``pad`` sites beyond the dist-1 band of the target geometry."""
-    margin = 1.0 + pad
+    ``pad`` sites beyond the dist-1 band of the target geometry, and, for a
+    half-plane query, has no rows below l = 0."""
+    if half_plane and window.l_min < 0:
+        raise WindowTooSmallError(f"half-plane window {window} reaches below l = 0")
     if isinstance(target, RhombusSurface):
-        x0, x1, y0, y1 = target.bounding_box(half_plane)
-        if not _window_margin_bounds(window, x0, x1, y0, y1, margin):
+        need = window_for_rhombus(target.center, target.n, target.phi, half_plane, pad)
+        if not (window.k_min <= need.k_min and need.k_max <= window.k_max
+                and window.l_min <= need.l_min and need.l_max <= window.l_max):
             raise WindowTooSmallError(
                 f"window {window} too small for rhombus n={target.n} at {target.center}")
     elif isinstance(target, ConeRegion):
         # Infinite region: require sideways coverage up to the window top.
+        margin = 1.0 + pad
         y_top = SQRT3_2 * window.l_max
         half = target.half_width_at(y_top)
         x0, x1 = target.apex_x - half, target.apex_x + half
@@ -119,27 +88,30 @@ def target_mask(window: Window, target, half_plane: bool) -> np.ndarray:
     return _cached_target_mask(window, target, half_plane)
 
 
-def _start_indices(window: Window, w: Site, half_plane: bool) -> list[tuple[int, int]]:
+def _query(w: Site, target, window: Window, half_plane: bool):
+    """Per-query setup: the window check, the grid indices of w's
+    neighbours in the window and the target band."""
+    check_window(window, target, half_plane)
     ys = half_plane_neighbors(w) if half_plane else neighbors(w)
-    return [window.index(y) for y in ys if window.contains(y)]
+    starts = [window.index(y) for y in ys if window.contains(y)]
+    return starts, target_mask(window, target, half_plane)
 
 
-def is_connected(w: Site, target, config: GrowthConfiguration) -> bool:
-    """Whether some occupied neighbor of w reaches within distance 1 of the
-    target through a 1-path inside the window."""
-    check_window(config.window, target, config.half_plane)
-    occ = config.occ
+def _connects(occ: np.ndarray, starts: list[tuple[int, int]], tmask: np.ndarray) -> bool:
+    """Whether an occupied start site shares a cluster of ``occ`` with an
+    occupied site of the target band ``tmask``."""
     labels, n_lab = ndimage.label(occ, structure=TRI_STRUCTURE)
-    if n_lab == 0:
-        return False
-    start = {labels[idx] for idx in _start_indices(config.window, w, config.half_plane)
-             if occ[idx]}
-    if not start:
-        return False
-    tmask = target_mask(config.window, target, config.half_plane) & occ
-    if not tmask.any():
-        return False
-    return bool(np.isin(labels[tmask], sorted(start)).any())
+    is_start = np.zeros(n_lab + 1, dtype=bool)
+    is_start[[labels[i] for i in starts]] = True
+    is_start[0] = False  # label 0 marks the vacant sites
+    return bool(is_start[labels[tmask]].any())
+
+
+def is_connected(w: Site, target, window: Window, occ: np.ndarray,
+                 half_plane: bool = True) -> bool:
+    """Whether some occupied neighbor of w reaches within distance 1 of the
+    target through a 1-path of the occupancy grid ``occ`` of the window."""
+    return _connects(occ, *_query(w, target, window, half_plane))
 
 
 BELOW_FLOOR = object()  # sentinel: connection already present at the floor time
@@ -157,11 +129,11 @@ def first_connection_time(w: Site, target, window: Window, seed: int,
     and first holds at a first-arrival time.  A bisection over the distinct
     arrivals in (floor, t_max] finds it, labelling one snapshot per probe.
     """
+    starts, tmask = _query(w, target, window, half_plane)
     arrivals = clocks.first_arrival_grid(seed, window)
 
     def holds(t: float) -> bool:
-        config = GrowthConfiguration(window, t, half_plane, arrivals <= t, seed)
-        return is_connected(w, target, config)
+        return _connects(arrivals <= t, starts, tmask)
 
     if not holds(t_max):
         return None
@@ -212,8 +184,8 @@ def one_arm_indicator(n: int, t: float, phi: float, seed: int,
     if engine == "auto":
         engine = "grid" if t >= T_C - 0.1 else "walk"
     if engine == "grid":
-        config = sample_configuration(window, t, seed, half_plane)
-        return is_connected(origin, surface, config)
+        occ = sample_configuration(window, t, seed, half_plane)
+        return is_connected(origin, surface, window, occ, half_plane)
     if engine == "walk":
         return _one_arm_walk(surface, window, t, seed, half_plane)
     raise ValueError(f"unknown engine {engine!r}")
@@ -221,22 +193,9 @@ def one_arm_indicator(n: int, t: float, phi: float, seed: int,
 
 def _one_arm_walk(surface: RhombusSurface, window: Window, t: float,
                   seed: int, half_plane: bool) -> bool:
-    """Lazy cluster growth from the origin's neighborhood."""
-    segs = surface.segments(half_plane)
-    cx, cy = embed(surface.center)
-    sin_phi = math.sin(surface.phi)
-    cos_phi = math.cos(surface.phi)
-    # Coarse necessary condition for dist <= 1 in shear coordinates.
-    band = surface.n - (1.0 + 1e-9) / sin_phi
-
-    def near_target(site: Site) -> bool:
-        px, py = embed(site)
-        v = (py - cy) / sin_phi
-        u = (px - cx) - v * cos_phi
-        if max(abs(u), abs(v)) < band:
-            return False
-        return any(seg_dist_sq(px, py, *s) <= 1.0 for s in segs)
-
+    """Lazy cluster growth from the origin's neighborhood, stopping at the
+    grid engine's target band."""
+    tmask = target_mask(window, surface, half_plane)
     occupied_cache: dict[Site, bool] = {}
 
     def occupied(site: Site) -> bool:
@@ -255,7 +214,7 @@ def _one_arm_walk(surface: RhombusSurface, window: Window, t: float,
                 queue.append(y)
     while queue:
         s = queue.popleft()
-        if near_target(s):
+        if tmask[window.index(s)]:
             return True
         for v in neighbors(s):
             if v in seen or not window.contains(v):

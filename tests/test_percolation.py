@@ -10,8 +10,8 @@ from firelab.estimators import EventParams
 from firelab.lattice import RhombusSurface, Window, neighbors
 from firelab.percolation import (
     BELOW_FLOOR,
-    GrowthConfiguration,
     WindowTooSmallError,
+    check_window,
     first_connection_time,
     is_connected,
     one_arm_indicator,
@@ -22,73 +22,86 @@ from firelab.percolation import (
 PHI = math.pi / 3
 
 
-def hand_config(window, occupied_sites, t=0.5, half_plane=True):
+def hand_config(window, occupied_sites):
     occ = np.zeros((window.n_rows, window.n_cols), dtype=bool)
     for s in occupied_sites:
         occ[window.index(s)] = True
-    return GrowthConfiguration(window, t, half_plane, occ)
+    return occ
 
 
 def test_configuration_t_zero_all_vacant():
-    config = sample_configuration(Window(-20, 20, 0, 20), 0.0, 404)
-    assert config.occupied_fraction() == 0.0
+    occ = sample_configuration(Window(-20, 20, 0, 20), 0.0, 404)
+    assert occ.mean() == 0.0
 
 
 def test_configuration_density_at_tc():
-    config = sample_configuration(Window(-200, 199, 0, 249), T_C, 11)
-    assert abs(config.occupied_fraction() - 0.5) < 0.005
+    occ = sample_configuration(Window(-200, 199, 0, 249), T_C, 11)
+    assert abs(occ.mean() - 0.5) < 0.005
 
 
 def test_configuration_density_log4():
-    config = sample_configuration(Window(-200, 199, 0, 249), math.log(4.0), 12)
-    assert abs(config.occupied_fraction() - 0.75) < 0.005
+    occ = sample_configuration(Window(-200, 199, 0, 249), math.log(4.0), 12)
+    assert abs(occ.mean() - 0.75) < 0.005
 
 
 def test_monotone_coupling_in_time():
     window = Window(-30, 30, 0, 30)
-    c1 = sample_configuration(window, 0.3, 99)
-    c2 = sample_configuration(window, 0.6, 99)
-    assert not (c1.occ & ~c2.occ).any()
+    occ1 = sample_configuration(window, 0.3, 99)
+    occ2 = sample_configuration(window, 0.6, 99)
+    assert not (occ1 & ~occ2).any()
 
 
 def test_is_connected_all_vacant():
     window = window_for_rhombus((0, 0), 3, PHI, True)
-    config = hand_config(window, [])
-    assert not is_connected((0, 0), RhombusSurface((0, 0), 3, PHI), config)
+    occ = hand_config(window, [])
+    assert not is_connected((0, 0), RhombusSurface((0, 0), 3, PHI), window, occ)
 
 
 def test_is_connected_all_occupied():
     window = window_for_rhombus((0, 0), 3, PHI, True)
-    config = hand_config(window, list(window.sites()))
-    assert is_connected((0, 0), RhombusSurface((0, 0), 3, PHI), config)
+    occ = hand_config(window, list(window.sites()))
+    assert is_connected((0, 0), RhombusSurface((0, 0), 3, PHI), window, occ)
 
 
 def test_is_connected_ignores_own_state():
     window = window_for_rhombus((0, 0), 2, PHI, True)
     # Straight occupied ray to the surface, origin itself vacant.
     path = [(k, 1) for k in range(0, 4)]
-    config = hand_config(window, path)
-    assert is_connected((0, 0), RhombusSurface((0, 0), 2, PHI), config)
+    occ = hand_config(window, path)
+    assert is_connected((0, 0), RhombusSurface((0, 0), 2, PHI), window, occ)
 
 
 def test_window_too_small_raises():
     surface = RhombusSurface((0, 0), 5, PHI)
     small = Window(-4, 4, 0, 3)
-    config = hand_config(small, [])
+    occ = hand_config(small, [])
     with pytest.raises(WindowTooSmallError):
-        is_connected((0, 0), surface, config)
+        is_connected((0, 0), surface, small, occ)
     with pytest.raises(WindowTooSmallError):
         first_connection_time((0, 0), surface, small, seed=1)
 
 
-def _brute_force_connected(w, target, config):
+def test_window_check_rejects_cut_rows():
+    # A full-plane query needs the rows below l = 0 that its target band
+    # reaches; a half-plane query must not run paths through any of them.
+    surface = RhombusSurface((0, 0), 4, PHI)
+    for half_plane in (True, False):
+        check_window(window_for_rhombus((0, 0), 4, PHI, half_plane), surface, half_plane)
+    cut = Window(-13, 13, 0, 8)
+    with pytest.raises(WindowTooSmallError):
+        is_connected((0, 0), surface, cut, hand_config(cut, cut.sites()), half_plane=False)
+    below = Window(-17, 15, -6, 8)
+    with pytest.raises(WindowTooSmallError):
+        first_connection_time((0, 0), surface, below, seed=clocks.derive_seed(9, 0))
+
+
+def _brute_force_connected(w, target, window, occ, half_plane=True):
     """Exhaustive DFS over all simple 1-paths from neighbors of w."""
-    window = config.window
     from firelab.percolation import target_mask
-    tmask = target_mask(window, target, config.half_plane)
+    tmask = target_mask(window, target, half_plane)
     starts = [y for y in neighbors(w)
-              if window.contains(y) and config.occupied(y)
-              and (not config.half_plane or y[1] >= 0)]
+              if window.contains(y) and occ[window.index(y)]
+              and (not half_plane or y[1] >= 0)]
 
     def dfs(site, visited):
         if tmask[window.index(site)]:
@@ -96,9 +109,9 @@ def _brute_force_connected(w, target, config):
         for v in neighbors(site):
             if v in visited or not window.contains(v):
                 continue
-            if config.half_plane and v[1] < 0:
+            if half_plane and v[1] < 0:
                 continue
-            if not config.occupied(v):
+            if not occ[window.index(v)]:
                 continue
             if dfs(v, visited | {v}):
                 return True
@@ -113,9 +126,9 @@ def test_is_connected_matches_brute_force():
     surface = RhombusSurface((0, 0), 2, PHI)
     for _ in range(60):
         sites = [s for s in window.sites() if rng.random() < 0.45]
-        config = hand_config(window, sites)
-        assert is_connected((0, 0), surface, config) == \
-            _brute_force_connected((0, 0), surface, config)
+        occ = hand_config(window, sites)
+        assert is_connected((0, 0), surface, window, occ) == \
+            _brute_force_connected((0, 0), surface, window, occ)
 
 
 def _brute_force_bottleneck(w, target, window, seed, t_max):
@@ -212,12 +225,10 @@ def test_first_connection_minimality():
         if t is None:
             continue
         arrivals = clocks.first_arrival_grid(seed, window)
-        config_at = GrowthConfiguration(window, t, True, arrivals <= t, seed)
-        assert is_connected((0, 0), surface, config_at)
+        assert is_connected((0, 0), surface, window, arrivals <= t)
         for frac in (0.25, 0.5, 0.9, 0.999):
             tp = t * frac
-            config_before = GrowthConfiguration(window, tp, True, arrivals <= tp, seed)
-            assert not is_connected((0, 0), surface, config_before)
+            assert not is_connected((0, 0), surface, window, arrivals <= tp)
         checked += 1
         if checked >= 30:
             break
