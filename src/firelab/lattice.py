@@ -245,33 +245,14 @@ def _clip_segment_upper(ax, ay, bx, by):
     return ax, ay, cx, 0.0
 
 
-def seg_dist_sq(px: float, py: float, ax: float, ay: float, bx: float, by: float) -> float:
-    """Squared distance from point to segment.
-
-    This scalar form, also through :func:`dist_to_rhombus_surface`, is only
-    the tests' reference for the grid masks every target band is built from.
-    Operation order is mirrored by :func:`seg_dist_sq_grid`; keep the two in
-    sync so the tests can compare site/threshold decisions exactly.
-    """
-    vx, vy = bx - ax, by - ay
-    wx, wy = px - ax, py - ay
-    vv = vx * vx + vy * vy
-    t = wx * vx + wy * vy
-    if vv > 0.0:
-        t = t / vv
-        if t < 0.0:
-            t = 0.0
-        elif t > 1.0:
-            t = 1.0
-    else:
-        t = 0.0
-    dx = wx - t * vx
-    dy = wy - t * vy
-    return dx * dx + dy * dy
-
-
 def seg_dist_sq_grid(X: np.ndarray, Y: np.ndarray, ax, ay, bx, by) -> np.ndarray:
-    """Vectorized :func:`seg_dist_sq` over coordinate grids."""
+    """Squared distance from each point of the coordinate grids ``X, Y`` to
+    the segment from ``(ax, ay)`` to ``(bx, by)``.
+
+    The tests' scalar reference in ``tests/test_lattice.py`` mirrors this
+    operation order; keep the two in sync so that they can compare
+    site/threshold decisions exactly.
+    """
     vx, vy = bx - ax, by - ay
     wx, wy = X - ax, Y - ay
     vv = vx * vx + vy * vy
@@ -283,18 +264,6 @@ def seg_dist_sq_grid(X: np.ndarray, Y: np.ndarray, ax, ay, bx, by) -> np.ndarray
     dx = wx - t * vx
     dy = wy - t * vy
     return dx * dx + dy * dy
-
-
-def dist_to_rhombus_surface(surface: RhombusSurface, site: Site,
-                            half_plane: bool = False) -> float:
-    """Euclidean distance from a site's embedded point to the surface."""
-    px, py = embed(site)
-    best = math.inf
-    for ax, ay, bx, by in surface.segments(half_plane):
-        d = seg_dist_sq(px, py, ax, ay, bx, by)
-        if d < best:
-            best = d
-    return math.sqrt(best)
 
 
 def near_surface_mask(window: Window, surface: RhombusSurface,

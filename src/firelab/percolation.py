@@ -40,8 +40,8 @@ def sample_configuration(window: Window, t: float, seed: int,
     boolean occupancy grid of the window."""
     if t < 0.0:
         raise ValueError("time must be >= 0")
-    if half_plane and window.l_min != 0:
-        raise ValueError("half-plane window must start at l = 0")
+    if half_plane and window.l_min < 0:
+        raise ValueError("half-plane window must not reach below l = 0")
     return clocks.first_arrival_grid(seed, window) <= t
 
 
@@ -97,13 +97,20 @@ def _query(w: Site, target, window: Window, half_plane: bool):
     return starts, target_mask(window, target, half_plane)
 
 
-def _connects(occ: np.ndarray, starts: list[tuple[int, int]], tmask: np.ndarray) -> bool:
-    """Whether an occupied start site shares a cluster of ``occ`` with an
-    occupied site of the target band ``tmask``."""
+def _start_clusters(occ: np.ndarray, starts: list[tuple[int, int]]):
+    """The cluster labels of ``occ`` and a per-label flag marking the
+    clusters that hold an occupied start site."""
     labels, n_lab = ndimage.label(occ, structure=TRI_STRUCTURE)
     is_start = np.zeros(n_lab + 1, dtype=bool)
     is_start[[labels[i] for i in starts]] = True
     is_start[0] = False  # label 0 marks the vacant sites
+    return labels, is_start
+
+
+def _connects(occ: np.ndarray, starts: list[tuple[int, int]], tmask: np.ndarray) -> bool:
+    """Whether an occupied start site shares a cluster of ``occ`` with an
+    occupied site of the target band ``tmask``."""
+    labels, is_start = _start_clusters(occ, starts)
     return bool(is_start[labels[tmask]].any())
 
 
@@ -150,10 +157,11 @@ def first_connection_time(w: Site, target, window: Window, seed: int,
     return float(times[lo])
 
 
+@lru_cache(maxsize=256)
 def window_for_rhombus(center: Site, n: int, phi: float, half_plane: bool,
                        pad: int = 2) -> Window:
     """Smallest axial window covering the rhombus, its dist-1 band and
-    ``pad`` extra sites in every direction."""
+    ``pad`` extra sites in every direction (cached; ``Window`` is frozen)."""
     surface = RhombusSurface(center, n, phi)
     x0, x1, y0, y1 = surface.bounding_box(half_plane)
     margin = 1.0 + pad
@@ -170,9 +178,11 @@ def one_arm_indicator(n: int, t: float, phi: float, seed: int,
                       half_plane: bool = True, engine: str = "auto") -> bool:
     """One Bernoulli sample of the one-arm event for the origin.
 
-    ``engine='grid'`` labels the whole padded window; ``engine='walk'``
-    grows the origin cluster lazily (cheap in the subcritical regime).
-    Both produce identical indicators for the same seed.
+    ``engine='grid'`` labels a ladder of windows around the origin (see
+    :func:`_one_arm_ladder`); ``engine='walk'`` grows the origin cluster
+    lazily (cheap in the subcritical regime).  Both produce identical
+    indicators for the same seed, equal to ``is_connected`` on the full
+    window's snapshot.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -184,11 +194,56 @@ def one_arm_indicator(n: int, t: float, phi: float, seed: int,
     if engine == "auto":
         engine = "grid" if t >= T_C - 0.1 else "walk"
     if engine == "grid":
-        occ = sample_configuration(window, t, seed, half_plane)
-        return is_connected(origin, surface, window, occ, half_plane)
+        return _one_arm_ladder(surface, window, t, seed, half_plane)
     if engine == "walk":
         return _one_arm_walk(surface, window, t, seed, half_plane)
     raise ValueError(f"unknown engine {engine!r}")
+
+
+# Ladder rungs: rhombi of half side n // RUNG_RATIO**i, down to MIN_RUNG.
+# A rung has roughly 1/16 of the next one's sites (more on small rungs,
+# where the padding counts), so a sample that climbs the whole ladder hashes
+# and labels 7-16% more sites than the full window alone (n = 16 ... 256).
+RUNG_RATIO = 4
+MIN_RUNG = 4
+
+
+def _one_arm_ladder(surface: RhombusSurface, window: Window, t: float,
+                    seed: int, half_plane: bool) -> bool:
+    """``is_connected`` for the origin on the full window's snapshot,
+    decided on the smallest rung of a window ladder that settles it.
+
+    Rung m is ``window_for_rhombus(origin, m, ...)`` for m = n/4, n/16, ...
+    >= MIN_RUNG, smallest first, then the full window; the rungs nest.  A
+    site's clock depends only on (seed, site), so a rung sees the full
+    window's bits.  A start cluster of a rung is part of a start cluster of
+    the full window, so one that meets the target band decides True.  One
+    that touches no rung edge the full window extends past is a whole
+    cluster, so when none meets the band the answer is False.
+    """
+    origin = surface.center
+    rungs = []
+    m = surface.n // RUNG_RATIO
+    while m >= MIN_RUNG:
+        rungs.append(window_for_rhombus(origin, m, surface.phi, half_plane))
+        m //= RUNG_RATIO
+    starts, tmask = _query(origin, surface, window, half_plane)
+    for sub in reversed(rungs):
+        r0, c0 = sub.l_min - window.l_min, sub.k_min - window.k_min
+        occ = sample_configuration(sub, t, seed, half_plane)
+        labels, is_start = _start_clusters(occ, [(r - r0, c - c0) for r, c in starts])
+        band = tmask[r0:r0 + sub.n_rows, c0:c0 + sub.n_cols]
+        if is_start[labels[band]].any():
+            return True
+        on_open_edge = (
+            (sub.l_min > window.l_min and is_start[labels[0]].any())
+            or (sub.l_max < window.l_max and is_start[labels[-1]].any())
+            or (sub.k_min > window.k_min and is_start[labels[:, 0]].any())
+            or (sub.k_max < window.k_max and is_start[labels[:, -1]].any()))
+        if not on_open_edge:
+            return False
+    occ = sample_configuration(window, t, seed, half_plane)
+    return _connects(occ, starts, tmask)
 
 
 def _one_arm_walk(surface: RhombusSurface, window: Window, t: float,

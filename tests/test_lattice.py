@@ -10,13 +10,44 @@ from firelab.lattice import (
     RhombusSurface,
     TubeRegion,
     Window,
-    dist_to_rhombus_surface,
     embed,
     near_surface_mask,
     neighbors,
     outer_boundary,
-    seg_dist_sq,
 )
+
+
+def seg_dist_sq(px, py, ax, ay, bx, by):
+    """Squared distance from a point to a segment: the scalar reference for
+    ``lattice.seg_dist_sq_grid``, in the same operation order, so that the
+    two make the same site/threshold decisions."""
+    vx, vy = bx - ax, by - ay
+    wx, wy = px - ax, py - ay
+    vv = vx * vx + vy * vy
+    t = wx * vx + wy * vy
+    if vv > 0.0:
+        t = t / vv
+        if t < 0.0:
+            t = 0.0
+        elif t > 1.0:
+            t = 1.0
+    else:
+        t = 0.0
+    dx = wx - t * vx
+    dy = wy - t * vy
+    return dx * dx + dy * dy
+
+
+def dist_to_rhombus_surface(surface, site, half_plane=False):
+    """Euclidean distance from a site's embedded point to the (clipped)
+    surface, one segment at a time."""
+    px, py = embed(site)
+    best = math.inf
+    for ax, ay, bx, by in surface.segments(half_plane):
+        d = seg_dist_sq(px, py, ax, ay, bx, by)
+        if d < best:
+            best = d
+    return math.sqrt(best)
 
 
 def test_neighbors_origin():

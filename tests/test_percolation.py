@@ -1,10 +1,11 @@
+import itertools
 import math
 import random
 
 import numpy as np
 import pytest
 
-from firelab import clocks, invariants
+from firelab import clocks, invariants, percolation
 from firelab.clocks import T_C
 from firelab.estimators import EventParams
 from firelab.lattice import RhombusSurface, Window, neighbors
@@ -49,6 +50,22 @@ def test_monotone_coupling_in_time():
     occ1 = sample_configuration(window, 0.3, 99)
     occ2 = sample_configuration(window, 0.6, 99)
     assert not (occ1 & ~occ2).any()
+
+
+def test_half_plane_window_above_row_zero():
+    # sample_configuration accepts every half-plane window check_window
+    # accepts: those with no row below l = 0.
+    center = (0, 20)
+    surface = RhombusSurface(center, 4, PHI)
+    window = window_for_rhombus(center, 4, PHI, True)
+    assert window == Window(-13, 19, 12, 28)
+    t = first_connection_time(center, surface, window, seed=5)
+    assert t == 0.2864108264024276
+    assert is_connected(center, surface, window, sample_configuration(window, t, 5))
+    below = sample_configuration(window, math.nextafter(t, 0.0), 5)
+    assert not is_connected(center, surface, window, below)
+    with pytest.raises(ValueError):
+        sample_configuration(Window(-13, 19, -1, 28), t, 5)
 
 
 def test_is_connected_all_vacant():
@@ -254,6 +271,38 @@ def test_one_arm_engines_agree():
         half = rng.random() < 0.7
         cases.append((clocks.derive_seed(63, i), n, t, half))
     assert invariants.engine_failures(cases, PHI) == []
+
+
+def test_one_arm_ladder_matches_full_window(monkeypatch):
+    # The grid engine decides on nested sub-windows; its indicator must be
+    # is_connected on the full window's snapshot.  Every window it hashes
+    # is recorded, so that samples decided on a sub-rung and samples that
+    # reach the full window both provably occur.
+    hashed = []
+
+    def recording(window, t, seed, half_plane=True):
+        hashed[-1].append(window)
+        return sample_configuration(window, t, seed, half_plane)
+
+    monkeypatch.setattr(percolation, "sample_configuration", recording)
+    seen = set()
+    # At phi = pi/3 the target band lies outside every sub-rung, so only
+    # the flat rhombi of phi = 0.25 can decide True below the full window.
+    for phi, n, half in itertools.product((PHI, 0.25), (16, 32, 64, 128), (True, False)):
+        surface = RhombusSurface((0, 0), n, phi)
+        window = window_for_rhombus((0, 0), n, phi, half)
+        for t in (T_C - 0.3, T_C - 0.1, T_C):
+            for i in range(8):
+                seed = clocks.derive_seed(97, 1000 * n + i)
+                hashed.append([])
+                got = one_arm_indicator(n, t, phi, seed, half, engine="grid")
+                occ = sample_configuration(window, t, seed, half)
+                assert got == is_connected((0, 0), surface, window, occ, half)
+                for sub in hashed[-1]:
+                    assert (window.k_min <= sub.k_min and sub.k_max <= window.k_max
+                            and window.l_min <= sub.l_min and sub.l_max <= window.l_max)
+                seen.add((got, hashed[-1][-1] == window))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}, seen
 
 
 def test_half_plane_implies_full_plane_samplewise():
