@@ -163,14 +163,6 @@ def jumps_in(seed: int, site: Site, t_from: float, t_to: float) -> list[float]:
         j += 1
 
 
-def uniform_grid(seed: int, window: Window, j: int = 0) -> np.ndarray:
-    """Vectorized ``uniform(seed, site, j)`` over all window sites.
-
-    Bit-identical to the scalar path: same mixing chain on uint64.
-    """
-    return _uniform_from_state(window_states(seed, window), j)
-
-
 def first_arrival_grid(seed: int, window: Window) -> np.ndarray:
     """First jump times for all window sites, shape (n_rows, n_cols)."""
     return gap_from_state(window_states(seed, window), 0)

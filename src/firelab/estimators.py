@@ -19,6 +19,13 @@ T = first time w connects to S in the growth process:
   cluster stays occupied until one fire burns all of it, and w's own ring
   at j_last burns the clusters of both neighbours.
 
+Growth only adds sites, so w is connected at time s exactly when T <= s,
+and T < s exactly when w is connected at ``math.nextafter(s, -inf)``, the
+largest float below s.  B, C and D are therefore threshold queries with no
+search for T: C is "connected just below t_slice", B is "j_last exists
+and w is connected just below j_last", and D is B and not C.  The coupled
+sampler asks them on one window ladder (``percolation._ladder_query``).
+
 Sample-wise, A implies B, C implies the connection part of B, and
 (B and not C) equals D.  Left-side events reduce to right-side events of
 the reflected parameters.
@@ -337,9 +344,14 @@ def _resolve_side(params: EventParams, side: str) -> EventParams:
     raise ValueError(f"side must be 'right' or 'left', got {side!r}")
 
 
+def _before(s: float) -> float:
+    """The largest float below s: w is connected there exactly when T < s."""
+    return math.nextafter(s, -math.inf)
+
+
 def _sample_event_c(seed: int, params: EventParams) -> bool:
     window = params.window()
-    occ = sample_configuration(window, params.slice_time, seed, True)
+    occ = sample_configuration(window, _before(params.slice_time), seed, True)
     return is_connected(params.w_site, params.surface(), window, occ)
 
 
@@ -374,16 +386,6 @@ def estimate_event_D(params: EventParams, samples: int, base_seed: int,
     seeds = [derive_seed(base_seed, i) for i in range(samples)]
     hits = sum(_pmap(pool_map, partial(_sample_event_d, params=params), seeds))
     return make_estimate(hits, samples)
-
-
-def event_d_components(params: EventParams, seed: int) -> tuple[bool, bool]:
-    """The two independent factors of the D upper bound: connection time in
-    the slice window, and a jump of w's clock inside the slice."""
-    res = first_connection_time(params.w_site, params.surface(), params.window(),
-                                seed, floor=params.slice_time)
-    conn = res is not BELOW_FLOOR and res is not None and res < T_C
-    clock = bool(clocks.jumps_in(seed, params.w_site, params.slice_time, T_C))
-    return conn, clock
 
 
 def event_a_window(params: EventParams) -> Window:
@@ -427,14 +429,21 @@ class CoupledEventStats:
 
 
 def _sample_coupled(seed: int, params: EventParams, include_a: bool) -> tuple:
-    t = first_connection_time(params.w_site, params.surface(), params.window(),
-                              seed, T_C, True)
+    connected = percolation._ladder_query(params.surface(), params.window(),
+                                          seed, True)
     jumps = clocks.jumps_in(seed, params.w_site, 0.0, T_C)
     j_last = jumps[-1] if jumps else None
-    conn = t is not None and t < T_C
-    c_ev = t is not None and t < params.slice_time
-    b_ev = conn and j_last is not None and j_last > t
-    d_ev = b_ev and t >= params.slice_time
+    conn = connected(_before(T_C))
+    c_ev = conn and connected(_before(params.slice_time))
+    if not conn or j_last is None:
+        b_ev = False
+    elif c_ev == (j_last > params.slice_time):
+        # Monotone in t: C with j_last > t_slice gives B; no C with
+        # j_last <= t_slice rules it out.
+        b_ev = c_ev
+    else:
+        b_ev = connected(_before(j_last))
+    d_ev = b_ev and not c_ev
     a_ev = sample_event_a(seed, params) if include_a else False
     return a_ev, b_ev, c_ev, d_ev, conn
 

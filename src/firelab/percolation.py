@@ -179,7 +179,7 @@ def one_arm_indicator(n: int, t: float, phi: float, seed: int,
     """One Bernoulli sample of the one-arm event for the origin.
 
     ``engine='grid'`` labels a ladder of windows around the origin (see
-    :func:`_one_arm_ladder`); ``engine='walk'`` grows the origin cluster
+    :func:`_ladder_query`); ``engine='walk'`` grows the origin cluster
     lazily (cheap in the subcritical regime).  Both produce identical
     indicators for the same seed, equal to ``is_connected`` on the full
     window's snapshot.
@@ -194,7 +194,7 @@ def one_arm_indicator(n: int, t: float, phi: float, seed: int,
     if engine == "auto":
         engine = "grid" if t >= T_C - 0.1 else "walk"
     if engine == "grid":
-        return _one_arm_ladder(surface, window, t, seed, half_plane)
+        return _ladder_query(surface, window, seed, half_plane)(t)
     if engine == "walk":
         return _one_arm_walk(surface, window, t, seed, half_plane)
     raise ValueError(f"unknown engine {engine!r}")
@@ -208,42 +208,55 @@ RUNG_RATIO = 4
 MIN_RUNG = 4
 
 
-def _one_arm_ladder(surface: RhombusSurface, window: Window, t: float,
-                    seed: int, half_plane: bool) -> bool:
-    """``is_connected`` for the origin on the full window's snapshot,
-    decided on the smallest rung of a window ladder that settles it.
+def _ladder_query(surface: RhombusSurface, window: Window, seed: int,
+                  half_plane: bool):
+    """``connected(t)``: ``is_connected`` for the rhombus centre on the full
+    window's snapshot at time t, decided on the smallest rung of a window
+    ladder that settles it.
 
-    Rung m is ``window_for_rhombus(origin, m, ...)`` for m = n/4, n/16, ...
+    Rung m is ``window_for_rhombus(centre, m, ...)`` for m = n/4, n/16, ...
     >= MIN_RUNG, smallest first, then the full window; the rungs nest.  A
     site's clock depends only on (seed, site), so a rung sees the full
     window's bits.  A start cluster of a rung is part of a start cluster of
     the full window, so one that meets the target band decides True.  One
     that touches no rung edge the full window extends past is a whole
-    cluster, so when none meets the band the answer is False.
+    cluster, so when none meets the band the answer is False.  Each rung's
+    arrival grid is hashed once, on first use, and every later threshold
+    labels its own snapshot of it.
     """
-    origin = surface.center
+    center = surface.center
     rungs = []
     m = surface.n // RUNG_RATIO
     while m >= MIN_RUNG:
-        rungs.append(window_for_rhombus(origin, m, surface.phi, half_plane))
+        rungs.append(window_for_rhombus(center, m, surface.phi, half_plane))
         m //= RUNG_RATIO
-    starts, tmask = _query(origin, surface, window, half_plane)
-    for sub in reversed(rungs):
-        r0, c0 = sub.l_min - window.l_min, sub.k_min - window.k_min
-        occ = sample_configuration(sub, t, seed, half_plane)
-        labels, is_start = _start_clusters(occ, [(r - r0, c - c0) for r, c in starts])
-        band = tmask[r0:r0 + sub.n_rows, c0:c0 + sub.n_cols]
-        if is_start[labels[band]].any():
-            return True
-        on_open_edge = (
-            (sub.l_min > window.l_min and is_start[labels[0]].any())
-            or (sub.l_max < window.l_max and is_start[labels[-1]].any())
-            or (sub.k_min > window.k_min and is_start[labels[:, 0]].any())
-            or (sub.k_max < window.k_max and is_start[labels[:, -1]].any()))
-        if not on_open_edge:
-            return False
-    occ = sample_configuration(window, t, seed, half_plane)
-    return _connects(occ, starts, tmask)
+    rungs.reverse()
+    starts, tmask = _query(center, surface, window, half_plane)
+    grids: dict[Window, np.ndarray] = {}
+
+    def arrivals(sub: Window) -> np.ndarray:
+        if sub not in grids:
+            grids[sub] = clocks.first_arrival_grid(seed, sub)
+        return grids[sub]
+
+    def connected(t: float) -> bool:
+        for sub in rungs:
+            r0, c0 = sub.l_min - window.l_min, sub.k_min - window.k_min
+            labels, is_start = _start_clusters(
+                arrivals(sub) <= t, [(r - r0, c - c0) for r, c in starts])
+            band = tmask[r0:r0 + sub.n_rows, c0:c0 + sub.n_cols]
+            if is_start[labels[band]].any():
+                return True
+            on_open_edge = (
+                (sub.l_min > window.l_min and is_start[labels[0]].any())
+                or (sub.l_max < window.l_max and is_start[labels[-1]].any())
+                or (sub.k_min > window.k_min and is_start[labels[:, 0]].any())
+                or (sub.k_max < window.k_max and is_start[labels[:, -1]].any()))
+            if not on_open_edge:
+                return False
+        return _connects(arrivals(window) <= t, starts, tmask)
+
+    return connected
 
 
 def _one_arm_walk(surface: RhombusSurface, window: Window, t: float,

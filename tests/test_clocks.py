@@ -9,6 +9,12 @@ from firelab.clocks import T_C
 from firelab.lattice import Window
 
 
+def uniform_grid(seed, window, j=0):
+    """``uniform(seed, site, j)`` over all window sites, from the array
+    state chain; the tests hold it bit-identical to the scalar path."""
+    return clocks._uniform_from_state(clocks.window_states(seed, window), j)
+
+
 def test_determinism():
     key = (1234, (5, -3))
     assert clocks.first_arrival_value(*key) == clocks.first_arrival_value(*key)
@@ -23,7 +29,7 @@ def test_distinct_sites_distinct_streams():
 def test_scalar_matches_grid():
     window = Window(-37, 41, -5, 23)
     for j in (0, 1, 3):
-        grid = clocks.uniform_grid(2718, window, j)
+        grid = uniform_grid(2718, window, j)
         for site in [(-37, -5), (41, 23), (0, 0), (13, 7), (-2, 11)]:
             assert clocks.uniform(2718, site, j) == grid[window.index(site)]
     arr = clocks.first_arrival_grid(2718, window)
@@ -98,7 +104,7 @@ def test_factored_states_match_reference_chain(window):
         for j in (0, 1, 6):
             want = [_reference_gap(seed, s, j) for s in sites]
             assert clocks.gap_from_state(states, j).ravel().tolist() == want
-            us = clocks.uniform_grid(seed, window, j).ravel().tolist()
+            us = uniform_grid(seed, window, j).ravel().tolist()
             assert [-float(np.log1p(-u)) for u in us] == want
         assert clocks.first_arrival_grid(seed, window).ravel().tolist() == \
             [_reference_gap(seed, s, 0) for s in sites]
@@ -178,7 +184,7 @@ def test_adjacent_site_count_correlation():
     # Jump counts over (0, t_c] for horizontally adjacent sites; eight gaps
     # bound the count: P[Poisson(log 2) > 8] < 1e-9.
     window = Window(0, 199_999, 0, 1)
-    gaps = np.stack([-np.log1p(-clocks.uniform_grid(8888, window, j))
+    gaps = np.stack([-np.log1p(-uniform_grid(8888, window, j))
                      for j in range(8)])
     cum = np.cumsum(gaps, axis=0)
     counts = (cum <= T_C).sum(axis=0)
@@ -189,7 +195,7 @@ def test_adjacent_site_count_correlation():
 
 def test_interarrival_gaps_exponential_ks():
     window = Window(0, 99_999, 0, 0)
-    gaps = -np.log1p(-clocks.uniform_grid(4242, window, 0)).ravel()
+    gaps = -np.log1p(-uniform_grid(4242, window, 0)).ravel()
     stat, pvalue = stats.kstest(gaps, "expon")
     assert pvalue > 1e-3
 
@@ -214,5 +220,5 @@ def test_streams_unbiased_at_extreme_keys():
         arr = clocks.first_arrival_grid(seed, win)
         assert abs(float((arr <= T_C).mean()) - 0.5) < 0.003
     w = Window(-10**6, -10**6 + 10, 0, 10)
-    g = clocks.uniform_grid(0, w, 0)
+    g = uniform_grid(0, w, 0)
     assert clocks.uniform(0, (-10**6, 0), 0) == g[0, 0]

@@ -13,7 +13,6 @@ from firelab.estimators import (
     estimate_event_C,
     estimate_event_D,
     estimate_one_arm,
-    event_d_components,
     fit_correlation_length,
     fit_decay,
     fit_xi_scan,
@@ -189,6 +188,17 @@ def test_event_d_upper_bound_and_y_inequality():
     assert d.point <= bound + se
 
 
+def event_d_components(params, seed):
+    """The two independent factors of the D upper bound: connection time in
+    the slice window, and a jump of w's clock inside the slice."""
+    res = percolation.first_connection_time(params.w_site, params.surface(),
+                                            params.window(), seed,
+                                            floor=params.slice_time)
+    conn = res is not percolation.BELOW_FLOOR and res is not None and res < T_C
+    clock = bool(clocks.jumps_in(seed, params.w_site, params.slice_time, T_C))
+    return conn, clock
+
+
 def test_event_d_independence_factorization():
     params = EventParams(16)
     n_samp = 4000
@@ -215,6 +225,74 @@ def test_coupled_counts_match_separate_estimators():
     assert counts["C"] == c.successes
     assert counts["D"] == d.successes
     assert counts["B"] <= counts["C"] + counts["D"]
+
+
+def _bisection_reference(seed, params, include_a):
+    """The coupled events from w's first connection time T, found by
+    bisection, compared with t_slice and j_last by strict inequality."""
+    t_c = estimators.T_C
+    t = percolation.first_connection_time(params.w_site, params.surface(),
+                                          params.window(), seed, t_c, True)
+    jumps = clocks.jumps_in(seed, params.w_site, 0.0, t_c)
+    j_last = jumps[-1] if jumps else None
+    conn = t is not None and t < t_c
+    c_ev = t is not None and t < params.slice_time
+    b_ev = conn and j_last is not None and j_last > t
+    d_ev = b_ev and t >= params.slice_time
+    a_ev = sample_event_a(seed, params) if include_a else False
+    return a_ev, b_ev, c_ev, d_ev, conn
+
+
+@pytest.mark.parametrize("include_a", [False, True])
+@pytest.mark.parametrize("n", [8, 12, 16, 32])
+def test_coupled_sampler_matches_bisection_reference(n, include_a):
+    # The threshold queries give the bisection's events sample for sample,
+    # on seeds with no jump of w's clock before t_c, with j_last <= t_slice
+    # and with j_last > t_slice.
+    params = EventParams(n)
+    kinds = set()
+    for i in range(400):
+        seed = clocks.derive_seed(1212, 1000 * n + i)
+        want = _bisection_reference(seed, params, include_a)
+        assert estimators._sample_coupled(seed, params, include_a) == want, i
+        jumps = clocks.jumps_in(seed, params.w_site, 0.0, T_C)
+        kinds.add("no jump" if not jumps else
+                  "late jump" if jumps[-1] > params.slice_time else "early jump")
+        kinds.update(k for k, hit in zip("ABCD", want) if hit)
+    assert {"no jump", "early jump", "late jump", "B", "C"} <= kinds
+
+
+def test_coupled_sampler_ties_follow_strict_convention(monkeypatch):
+    # T is an arrival time, so it equals t_slice, j_last or t_c only by
+    # construction: each is set to T in turn, where the strict comparisons
+    # of the definitions say "not yet connected".  The separate C sampler
+    # follows the same convention.
+    params = EventParams(8)
+    tied = []
+    for i in range(200):
+        seed = clocks.derive_seed(1313, i)
+        t = percolation.first_connection_time(params.w_site, params.surface(),
+                                              params.window(), seed)
+        if t is not None and t < T_C:
+            tied.append((seed, t))
+    assert len(tied) >= 20
+    for seed, t in tied[:20]:
+        with monkeypatch.context() as m:
+            m.setattr(EventParams, "slice_time", property(lambda self, t=t: t))
+            want = _bisection_reference(seed, params, False)
+            assert not want[2]
+            assert estimators._sample_coupled(seed, params, False) == want
+            assert not estimators._sample_event_c(seed, params)
+        with monkeypatch.context() as m:
+            m.setattr(clocks, "jumps_in", lambda *args, t=t: [t])
+            want = _bisection_reference(seed, params, False)
+            assert not want[1]
+            assert estimators._sample_coupled(seed, params, False) == want
+        with monkeypatch.context() as m:
+            m.setattr(estimators, "T_C", t)
+            want = _bisection_reference(seed, params, False)
+            assert not want[4]
+            assert estimators._sample_coupled(seed, params, False) == want
 
 
 def test_coupled_event_implications():

@@ -279,12 +279,13 @@ def test_one_arm_ladder_matches_full_window(monkeypatch):
     # is recorded, so that samples decided on a sub-rung and samples that
     # reach the full window both provably occur.
     hashed = []
+    first_arrival_grid = clocks.first_arrival_grid
 
-    def recording(window, t, seed, half_plane=True):
+    def recording(seed, window):
         hashed[-1].append(window)
-        return sample_configuration(window, t, seed, half_plane)
+        return first_arrival_grid(seed, window)
 
-    monkeypatch.setattr(percolation, "sample_configuration", recording)
+    monkeypatch.setattr(clocks, "first_arrival_grid", recording)
     seen = set()
     # At phi = pi/3 the target band lies outside every sub-rung, so only
     # the flat rhombi of phi = 0.25 can decide True below the full window.
@@ -296,13 +297,66 @@ def test_one_arm_ladder_matches_full_window(monkeypatch):
                 seed = clocks.derive_seed(97, 1000 * n + i)
                 hashed.append([])
                 got = one_arm_indicator(n, t, phi, seed, half, engine="grid")
-                occ = sample_configuration(window, t, seed, half)
+                occ = first_arrival_grid(seed, window) <= t
                 assert got == is_connected((0, 0), surface, window, occ, half)
                 for sub in hashed[-1]:
                     assert (window.k_min <= sub.k_min and sub.k_max <= window.k_max
                             and window.l_min <= sub.l_min and sub.l_max <= window.l_max)
                 seen.add((got, hashed[-1][-1] == window))
     assert seen == {(True, True), (True, False), (False, True), (False, False)}, seen
+
+
+def _start_cluster_times(center, surface, window, arrivals, half):
+    """Arrival times of the sites in the t_c clusters of the centre's
+    occupied neighbours: the times at which a connection can appear."""
+    starts, _ = percolation._query(center, surface, window, half)
+    labels, is_start = percolation._start_clusters(arrivals <= T_C, starts)
+    return np.unique(arrivals[is_start[labels]])
+
+
+@pytest.mark.parametrize("where", ["origin", "w"])
+def test_ladder_query_thresholds_match_full_snapshot(where, monkeypatch):
+    # One query answers many thresholds, asked in a shuffled order; each
+    # answer is is_connected on the full snapshot at that time, and each
+    # window of the ladder is hashed at most once per query.
+    hashed = []
+    first_arrival_grid = clocks.first_arrival_grid
+
+    def recording(seed, window):
+        hashed.append(window)
+        return first_arrival_grid(seed, window)
+
+    rng = random.Random(5)
+    flips = 0
+    for n, phi, half in itertools.product((8, 16, 32), (PHI, 0.25), (True, False)):
+        if where == "w" and not half:
+            continue
+        center = (0, 0) if where == "origin" else EventParams(n).w_site
+        surface = RhombusSurface(center, n, phi)
+        window = window_for_rhombus(center, n, phi, half)
+        slice_time = EventParams(n).slice_time
+        for i in range(10):
+            seed = clocks.derive_seed(4141, 1000 * n + i)
+            arrivals = first_arrival_grid(seed, window)
+            times = _start_cluster_times(center, surface, window, arrivals, half)
+            picks = [float(times[j]) for j in
+                     np.linspace(0, times.size - 1, min(times.size, 8)).astype(int)]
+            t_first = first_connection_time(center, surface, window, seed, T_C, half)
+            if t_first is not None:
+                picks.append(t_first)
+            picks += [slice_time, T_C]
+            thresholds = picks + [math.nextafter(t, -math.inf) for t in picks]
+            rng.shuffle(thresholds)
+            want = [is_connected(center, surface, window, arrivals <= t, half)
+                    for t in thresholds]
+            hashed.clear()
+            with monkeypatch.context() as m:
+                m.setattr(clocks, "first_arrival_grid", recording)
+                query = percolation._ladder_query(surface, window, seed, half)
+                assert [query(t) for t in thresholds] == want
+            assert len(hashed) == len(set(hashed))
+            flips += any(want) and not all(want)
+    assert flips >= 10
 
 
 def test_half_plane_implies_full_plane_samplewise():
