@@ -11,7 +11,8 @@ consistent under horizon extension.
 
 A window's states (``window_states``) are the broadcast of a per-column mix
 of ``k`` and a per-row ``^ l``: the seed's mix is shared by all sites and the
-``k`` mix by a column, so only the last two mixes run per site.  The array
+``k`` mix by a column, so only the last two mixes run per site.  An array of
+seeds adds a leading seed axis, one window per seed, with the same bits.  The array
 mixes work in place on a fresh array with one scratch buffer and leave the
 states they read unchanged; every array result equals the scalar chain bit
 for bit.
@@ -57,7 +58,8 @@ def _mix64_np(x: np.ndarray, tmp: np.ndarray) -> np.ndarray:
 
 
 # The scalar chain: pure Python ints, no type dispatch, so that ``uniform``,
-# the hot scalar draw of the lazy one-arm walk, costs only its four mixes.
+# the scalar draw of jump queries and of the lazy one-arm walk, costs only
+# its four mixes.
 def _scalar_state(seed: int, k: int, l: int) -> int:
     return mix64(mix64(mix64((seed & MASK64) ^ GOLDEN) ^ (k & MASK64)) ^ (l & MASK64))
 
@@ -67,24 +69,31 @@ def _scalar_uniform(h: int, j: int) -> float:
     return ((mix64((h + (j + 1) * GOLDEN) & MASK64) >> 11) + 0.5) * 2.0 ** -53
 
 
-def site_state(seed: int, site):
+def site_state(seed, site):
     """Base state of a site's stream; sequential mixing keeps streams
     uncorrelated.  ``site`` is one ``(k, l)`` pair, or a pair of int arrays
     that broadcast together (then the states are a uint64 array of the
     broadcast shape, and ``k`` is mixed at its own shape: a row of columns
-    is mixed once, not once per row)."""
+    is mixed once, not once per row).  With arrays, ``seed`` may be a
+    sequence of seeds; the states then gain a leading seed axis."""
     k, l = site
     if not isinstance(k, np.ndarray):
         return _scalar_state(seed, k, l)
-    h = k.astype(np.uint64)
-    h ^= np.uint64(mix64((seed & MASK64) ^ GOLDEN))
+    if isinstance(seed, (list, tuple, np.ndarray)):
+        seed_mix = np.array([mix64((s & MASK64) ^ GOLDEN) for s in seed], dtype=np.uint64)
+        seed_mix = seed_mix.reshape((-1,) + (1,) * max(k.ndim, l.ndim))
+    else:
+        seed_mix = np.uint64(mix64((seed & MASK64) ^ GOLDEN))
+    h = k.astype(np.uint64) ^ seed_mix
     h = _mix64_np(h, np.empty_like(h)) ^ l.astype(np.uint64)
     return _mix64_np(h, np.empty_like(h))
 
 
-def window_states(seed: int, window: Window) -> np.ndarray:
+def window_states(seed, window: Window) -> np.ndarray:
     """``site_state`` of every window site, shape (n_rows, n_cols): the
-    broadcast of a per-column mix of k and a per-row ``^ l``."""
+    broadcast of a per-column mix of k and a per-row ``^ l``.  For a
+    sequence of seeds the shape is (len(seed), n_rows, n_cols), and plane i
+    equals ``window_states(seed[i], window)``."""
     ks = np.arange(window.k_min, window.k_max + 1, dtype=np.int64)
     ls = np.arange(window.l_min, window.l_max + 1, dtype=np.int64)
     return site_state(seed, (ks, ls[:, None]))
@@ -163,6 +172,7 @@ def jumps_in(seed: int, site: Site, t_from: float, t_to: float) -> list[float]:
         j += 1
 
 
-def first_arrival_grid(seed: int, window: Window) -> np.ndarray:
-    """First jump times for all window sites, shape (n_rows, n_cols)."""
+def first_arrival_grid(seed, window: Window) -> np.ndarray:
+    """First jump times for all window sites, shape (n_rows, n_cols), or
+    (len(seed), n_rows, n_cols) for a sequence of seeds (``window_states``)."""
     return gap_from_state(window_states(seed, window), 0)

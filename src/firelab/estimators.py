@@ -2,7 +2,10 @@
 
 Estimates are deterministic functions of (parameters, base seed, samples):
 sample i runs under ``derive_seed(base_seed, i)``, and aggregation is an
-order-independent merge, so worker pools do not change results.
+order-independent merge, so worker pools do not change results.  One-arm
+samples go to the pool in chunks of ONE_ARM_CHUNK seeds; a chunk climbs
+the window ladder together (engine 'auto' at every t), and each seed's
+indicator is the same in any chunk.
 
 Event conventions for the proof events at a boundary site w = (ceil(x)+n, 0)
 with rhombus target S = surface(w, n, phi) clipped to the half-plane, and
@@ -45,7 +48,7 @@ from .percolation import (
     BELOW_FLOOR,
     first_connection_time,
     is_connected,
-    one_arm_indicator,
+    one_arm_indicators,
     sample_configuration,
     window_for_rhombus,
 )
@@ -154,9 +157,15 @@ def _pmap(pool_map, fn, items):
 # One-arm probabilities and correlation length
 
 
-def _sample_one_arm(seed: int, n: int, t: float, phi: float,
-                    half_plane: bool, engine: str) -> bool:
-    return one_arm_indicator(n, t, phi, seed, half_plane, engine)
+# Seeds per work item of ``estimate_one_arm``: a chunk climbs the window
+# ladder as one stack (``percolation.one_arm_indicators``), and the
+# successes do not depend on its size.
+ONE_ARM_CHUNK = 64
+
+
+def _sample_one_arm(seeds: list[int], n: int, t: float, phi: float,
+                    half_plane: bool, engine: str) -> int:
+    return int(one_arm_indicators(n, t, phi, seeds, half_plane, engine).sum())
 
 
 def estimate_one_arm(n: int, t: float, phi: float, samples: int,
@@ -168,9 +177,10 @@ def estimate_one_arm(n: int, t: float, phi: float, samples: int,
     if not 0.0 <= t <= T_C + 1e-12:
         raise ValueError("time must lie in [0, t_c]")
     seeds = [derive_seed(base_seed, i) for i in range(samples)]
+    chunks = [seeds[i:i + ONE_ARM_CHUNK] for i in range(0, samples, ONE_ARM_CHUNK)]
     fn = partial(_sample_one_arm, n=n, t=t, phi=phi,
                  half_plane=half_plane, engine=engine)
-    hits = sum(_pmap(pool_map, fn, seeds))
+    hits = sum(_pmap(pool_map, fn, chunks))
     return make_estimate(hits, samples)
 
 
@@ -404,8 +414,12 @@ def event_a_window(params: EventParams) -> Window:
 def sample_event_a(seed: int, params: EventParams) -> bool:
     """One fire-process sample of the cone-connection event, read off the
     destruction records of a run up to the last jump of w's clock."""
+    return _event_a(seed, params, clocks.jumps_in(seed, params.w_site, 0.0, T_C))
+
+
+def _event_a(seed: int, params: EventParams, jumps: list[float]) -> bool:
+    """``sample_event_a`` given w's clock jumps in (0, t_c]."""
     w = params.w_site
-    jumps = clocks.jumps_in(seed, w, 0.0, T_C)
     if not jumps:
         return False
     win = event_a_window(params)
@@ -429,8 +443,12 @@ class CoupledEventStats:
 
 
 def _sample_coupled(seed: int, params: EventParams, include_a: bool) -> tuple:
-    connected = percolation._ladder_query(params.surface(), params.window(),
-                                          seed, True)
+    query = percolation._ladder_query(params.surface(), params.window(),
+                                      [seed], True)
+
+    def connected(t: float) -> bool:
+        return bool(query(t)[0])
+
     jumps = clocks.jumps_in(seed, params.w_site, 0.0, T_C)
     j_last = jumps[-1] if jumps else None
     conn = connected(_before(T_C))
@@ -444,7 +462,7 @@ def _sample_coupled(seed: int, params: EventParams, include_a: bool) -> tuple:
     else:
         b_ev = connected(_before(j_last))
     d_ev = b_ev and not c_ev
-    a_ev = sample_event_a(seed, params) if include_a else False
+    a_ev = _event_a(seed, params, jumps) if include_a else False
     return a_ev, b_ev, c_ev, d_ev, conn
 
 

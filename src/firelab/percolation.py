@@ -90,24 +90,36 @@ def target_mask(window: Window, target, half_plane: bool) -> np.ndarray:
 
 def _query(w: Site, target, window: Window, half_plane: bool):
     """Per-query setup: the window check, the grid indices of w's
-    neighbours in the window and the target band."""
+    neighbours in the window as a (rows, cols) pair of arrays and the
+    target band."""
     check_window(window, target, half_plane)
     ys = half_plane_neighbors(w) if half_plane else neighbors(w)
-    starts = [window.index(y) for y in ys if window.contains(y)]
+    starts = np.array([window.index(y) for y in ys if window.contains(y)],
+                      dtype=np.intp).reshape(-1, 2).T
     return starts, target_mask(window, target, half_plane)
 
 
-def _start_clusters(occ: np.ndarray, starts: list[tuple[int, int]]):
+# The label structure of a stack of grids: TRI_STRUCTURE in its middle
+# plane and zeros elsewhere, so that no cluster joins two planes.
+_STACK_STRUCTURE = np.zeros((3, 3, 3), dtype=bool)
+_STACK_STRUCTURE[1] = TRI_STRUCTURE
+
+
+def _start_clusters(occ: np.ndarray, starts: np.ndarray):
     """The cluster labels of ``occ`` and a per-label flag marking the
-    clusters that hold an occupied start site."""
-    labels, n_lab = ndimage.label(occ, structure=TRI_STRUCTURE)
+    clusters that hold an occupied start site, given as a (rows, cols)
+    pair of index arrays.  ``occ`` is one grid, or a stack of grids with a
+    leading seed axis, labelled plane by plane with the same start sites in
+    every plane."""
+    structure = TRI_STRUCTURE if occ.ndim == 2 else _STACK_STRUCTURE
+    labels, n_lab = ndimage.label(occ, structure=structure)
     is_start = np.zeros(n_lab + 1, dtype=bool)
-    is_start[[labels[i] for i in starts]] = True
+    is_start[labels[..., starts[0], starts[1]]] = True
     is_start[0] = False  # label 0 marks the vacant sites
     return labels, is_start
 
 
-def _connects(occ: np.ndarray, starts: list[tuple[int, int]], tmask: np.ndarray) -> bool:
+def _connects(occ: np.ndarray, starts: np.ndarray, tmask: np.ndarray) -> bool:
     """Whether an occupied start site shares a cluster of ``occ`` with an
     occupied site of the target band ``tmask``."""
     labels, is_start = _start_clusters(occ, starts)
@@ -174,15 +186,16 @@ def window_for_rhombus(center: Site, n: int, phi: float, half_plane: bool,
     return Window(k_lo, k_hi, l_lo, l_hi)
 
 
-def one_arm_indicator(n: int, t: float, phi: float, seed: int,
-                      half_plane: bool = True, engine: str = "auto") -> bool:
-    """One Bernoulli sample of the one-arm event for the origin.
+def one_arm_indicators(n: int, t: float, phi: float, seeds,
+                       half_plane: bool = True, engine: str = "auto") -> np.ndarray:
+    """Bernoulli samples of the one-arm event for the origin, one per seed,
+    as a bool array.
 
-    ``engine='grid'`` labels a ladder of windows around the origin (see
-    :func:`_ladder_query`); ``engine='walk'`` grows the origin cluster
-    lazily (cheap in the subcritical regime).  Both produce identical
-    indicators for the same seed, equal to ``is_connected`` on the full
-    window's snapshot.
+    ``engine='auto'`` (or ``'grid'``) climbs a ladder of windows around the
+    origin with all seeds at once (see :func:`_ladder_query`);
+    ``engine='walk'`` grows each seed's origin cluster lazily, the
+    independent oracle.  Both produce identical indicators for the same
+    seed, equal to ``is_connected`` on the full window's snapshot.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -191,13 +204,19 @@ def one_arm_indicator(n: int, t: float, phi: float, seed: int,
     origin: Site = (0, 0)
     surface = RhombusSurface(origin, n, phi)
     window = window_for_rhombus(origin, n, phi, half_plane)
-    if engine == "auto":
-        engine = "grid" if t >= T_C - 0.1 else "walk"
-    if engine == "grid":
-        return _ladder_query(surface, window, seed, half_plane)(t)
+    if engine in ("auto", "grid"):
+        return _ladder_query(surface, window, seeds, half_plane)(t)
     if engine == "walk":
-        return _one_arm_walk(surface, window, t, seed, half_plane)
+        return np.array([_one_arm_walk(surface, window, t, seed, half_plane)
+                         for seed in seeds], dtype=bool)
     raise ValueError(f"unknown engine {engine!r}")
+
+
+def one_arm_indicator(n: int, t: float, phi: float, seed: int,
+                      half_plane: bool = True, engine: str = "auto") -> bool:
+    """One Bernoulli sample of the one-arm event for the origin: a chunk of
+    one seed of :func:`one_arm_indicators`."""
+    return bool(one_arm_indicators(n, t, phi, [seed], half_plane, engine)[0])
 
 
 # Ladder rungs: rhombi of half side n // RUNG_RATIO**i, down to MIN_RUNG.
@@ -206,13 +225,17 @@ def one_arm_indicator(n: int, t: float, phi: float, seed: int,
 # and labels 7-16% more sites than the full window alone (n = 16 ... 256).
 RUNG_RATIO = 4
 MIN_RUNG = 4
+# Sites in one hashed and labelled stack of a rung, unless a single seed's
+# rung is larger (n = 256's full window, 202,797 sites, goes alone), and in
+# the stacks a query of several seeds keeps for its later thresholds.
+MAX_STACK_SITES = 1 << 18
 
 
-def _ladder_query(surface: RhombusSurface, window: Window, seed: int,
+def _ladder_query(surface: RhombusSurface, window: Window, seeds,
                   half_plane: bool):
-    """``connected(t)``: ``is_connected`` for the rhombus centre on the full
-    window's snapshot at time t, decided on the smallest rung of a window
-    ladder that settles it.
+    """``connected(t)``: for each seed, ``is_connected`` for the rhombus
+    centre on the full window's snapshot at time t, as a bool array, each
+    decided on the smallest rung of a window ladder that settles it.
 
     Rung m is ``window_for_rhombus(centre, m, ...)`` for m = n/4, n/16, ...
     >= MIN_RUNG, smallest first, then the full window; the rungs nest.  A
@@ -220,43 +243,88 @@ def _ladder_query(surface: RhombusSurface, window: Window, seed: int,
     window's bits.  A start cluster of a rung is part of a start cluster of
     the full window, so one that meets the target band decides True.  One
     that touches no rung edge the full window extends past is a whole
-    cluster, so when none meets the band the answer is False.  Each rung's
-    arrival grid is hashed once, on first use, and every later threshold
-    labels its own snapshot of it.
+    cluster, so when none meets the band the answer is False.  On each rung
+    the seeds still undecided are hashed as one (seeds, rows, cols) stack of
+    at most MAX_STACK_SITES sites and labelled plane by plane in one call;
+    the seeds it decides drop out before the next rung.  A stack is hashed
+    once, on first use, and kept for later thresholds while the kept stacks
+    hold at most MAX_STACK_SITES sites (a query of one seed keeps them all);
+    every threshold labels its own snapshot of it.
     """
-    center = surface.center
-    rungs = []
-    m = surface.n // RUNG_RATIO
-    while m >= MIN_RUNG:
-        rungs.append(window_for_rhombus(center, m, surface.phi, half_plane))
-        m //= RUNG_RATIO
-    rungs.reverse()
-    starts, tmask = _query(center, surface, window, half_plane)
-    grids: dict[Window, np.ndarray] = {}
+    rungs = _ladder(surface, window, half_plane)
+    seeds = list(seeds)
+    kept: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}
+    kept_sites = 0
 
-    def arrivals(sub: Window) -> np.ndarray:
-        if sub not in grids:
-            grids[sub] = clocks.first_arrival_grid(seed, sub)
-        return grids[sub]
+    def arrivals(rung: int, group: tuple[int, ...]) -> np.ndarray:
+        nonlocal kept_sites
+        stack = kept.get((rung, group))
+        if stack is None:
+            # One seed is hashed and labelled as a plain grid: cheaper per
+            # call, and the decisions below read it as a stack of one.
+            picked = [seeds[i] for i in group]
+            stack = clocks.first_arrival_grid(
+                picked if len(picked) > 1 else picked[0], rungs[rung][0])
+            if len(seeds) == 1 or kept_sites + stack.size <= MAX_STACK_SITES:
+                kept[rung, group] = stack
+                kept_sites += stack.size
+        return stack
 
-    def connected(t: float) -> bool:
-        for sub in rungs:
-            r0, c0 = sub.l_min - window.l_min, sub.k_min - window.k_min
-            labels, is_start = _start_clusters(
-                arrivals(sub) <= t, [(r - r0, c - c0) for r, c in starts])
-            band = tmask[r0:r0 + sub.n_rows, c0:c0 + sub.n_cols]
-            if is_start[labels[band]].any():
-                return True
-            on_open_edge = (
-                (sub.l_min > window.l_min and is_start[labels[0]].any())
-                or (sub.l_max < window.l_max and is_start[labels[-1]].any())
-                or (sub.k_min > window.k_min and is_start[labels[:, 0]].any())
-                or (sub.k_max < window.k_max and is_start[labels[:, -1]].any()))
-            if not on_open_edge:
-                return False
-        return _connects(arrivals(window) <= t, starts, tmask)
+    def connected(t: float) -> np.ndarray:
+        out = np.zeros(len(seeds), dtype=bool)
+        todo = list(range(len(seeds)))
+        for rung, (sub, starts, watched, n_band) in enumerate(rungs):
+            step = max(1, MAX_STACK_SITES // sub.n_sites)
+            undecided = []
+            for g in range(0, len(todo), step):
+                group = tuple(todo[g:g + step])
+                labels, is_start = _start_clusters(arrivals(rung, group) <= t, starts)
+                seen = is_start[labels.reshape(len(group), -1).take(watched, axis=1)]
+                hit = seen[:, :n_band].any(axis=1).tolist()
+                on_edge = seen[:, n_band:].any(axis=1).tolist()
+                for i, h, e in zip(group, hit, on_edge):
+                    if h:
+                        out[i] = True
+                    elif e:
+                        undecided.append(i)
+            todo = undecided
+            if not todo:
+                break
+        return out
 
     return connected
+
+
+@lru_cache(maxsize=64)
+def _ladder(surface: RhombusSurface, window: Window, half_plane: bool) -> tuple:
+    """The rungs of a ladder query for the rhombus centre, smallest first.
+
+    A rung is ``(window, starts, watched, n_band)``: the rung window, the
+    grid indices of the centre's in-window neighbours in it, and the flat
+    indices of its sites in the target band (the first ``n_band``) and then
+    of its sites on an edge the full window extends past.  Cached per query
+    geometry; the arrays are read-only.
+    """
+    center = surface.center
+    subs = [window]
+    m = surface.n // RUNG_RATIO
+    while m >= MIN_RUNG:
+        subs.append(window_for_rhombus(center, m, surface.phi, half_plane))
+        m //= RUNG_RATIO
+    starts, tmask = _query(center, surface, window, half_plane)
+    rungs = []
+    for sub in reversed(subs):
+        r0, c0 = sub.l_min - window.l_min, sub.k_min - window.k_min
+        edge = np.zeros((sub.n_rows, sub.n_cols), dtype=bool)
+        edge[0] |= sub.l_min > window.l_min
+        edge[-1] |= sub.l_max < window.l_max
+        edge[:, 0] |= sub.k_min > window.k_min
+        edge[:, -1] |= sub.k_max < window.k_max
+        band = np.flatnonzero(tmask[r0:r0 + sub.n_rows, c0:c0 + sub.n_cols])
+        rungs.append((sub,
+                      starts - np.array([[r0], [c0]]),
+                      np.concatenate((band, np.flatnonzero(edge))), band.size))
+    return tuple(rungs)
 
 
 def _one_arm_walk(surface: RhombusSurface, window: Window, t: float,

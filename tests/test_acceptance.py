@@ -56,8 +56,7 @@ def test_c1_half_plane_one_arm_exponent():
 def test_c2_subcritical_exponential_decay():
     t = T_C - 0.25
     ns = list(range(10, 61, 5))
-    xf = fit_correlation_length(t, PHI, ns, 40_000, base_seed=202,
-                                model="n_exp", engine="walk")
+    xf = fit_correlation_length(t, PHI, ns, 40_000, base_seed=202, model="n_exp")
     ok = xf.fit.r2 > 0.98 and math.isfinite(xf.xi) and xf.xi > 0
     _report("criterion 2", ok,
             f"R^2={xf.fit.r2:.4f} xi={xf.xi:.3f} warnings={xf.warnings}")

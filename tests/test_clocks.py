@@ -110,6 +110,20 @@ def test_factored_states_match_reference_chain(window):
             [_reference_gap(seed, s, 0) for s in sites]
 
 
+@pytest.mark.parametrize("window", FACTOR_WINDOWS)
+def test_seed_axis_stacks_per_seed_grids(window):
+    # A sequence of seeds adds a leading axis; each plane is that seed's
+    # own grid, bit for bit, for the states and the first arrivals.
+    seeds = [0, 2**64 - 1, -3, 2718, clocks.derive_seed(5, 1)]
+    states = clocks.window_states(seeds, window)
+    arrivals = clocks.first_arrival_grid(seeds, window)
+    assert states.shape == arrivals.shape == (len(seeds), window.n_rows, window.n_cols)
+    for i, seed in enumerate(seeds):
+        assert np.array_equal(states[i], clocks.window_states(seed, window))
+        assert np.array_equal(arrivals[i], clocks.first_arrival_grid(seed, window))
+    assert clocks.first_arrival_grid([], window).shape == (0, window.n_rows, window.n_cols)
+
+
 def test_array_draws_leave_states_unchanged():
     # The fire loop draws several gaps from one state grid and from its
     # rows, so no draw may mix the states it reads in place.

@@ -23,6 +23,7 @@ from firelab.estimators import (
     scan_xi_exponent,
     wilson_interval,
     xi_from_fit,
+    xi_scan_n_list,
 )
 from firelab.lattice import ConeRegion, TubeRegion, Window
 
@@ -93,13 +94,59 @@ def test_subcritical_decay_is_semilog_linear():
     ns = [4, 6, 8, 10, 12, 14]
     pts = []
     for i, n in enumerate(ns):
-        est = estimate_one_arm(n, t, PHI, 30_000, False,
-                               clocks.derive_seed(77, i), engine="walk")
+        est = estimate_one_arm(n, t, PHI, 30_000, False, clocks.derive_seed(77, i))
         pts.append(est.point)
     fit = fit_decay(ns, pts, model="n_exp")
     assert fit.r2 > 0.98
     xi, _ = xi_from_fit(fit)
     assert xi > 0
+
+
+def _xiscan_points():
+    """(t, n) of criterion 3's scan: full plane, four times below t_c."""
+    return [(T_C - g, n) for g in (0.30, 0.22, 0.15, 0.10) for n in xi_scan_n_list(T_C - g)]
+
+
+def test_one_arm_successes_do_not_depend_on_chunk_size(monkeypatch):
+    # Chunks of 1 and 2 seeds, one chunk of all seeds, and one chunk split
+    # into small stacks on every rung give the same successes.  In one
+    # chunk, seeds stop on different rungs: a later rung hashes fewer seeds
+    # than the first, but not none.
+    hashed = []
+    first_arrival_grid = clocks.first_arrival_grid
+
+    def recording(seed, window):
+        hashed.append(np.size(seed))
+        return first_arrival_grid(seed, window)
+
+    monkeypatch.setattr(clocks, "first_arrival_grid", recording)
+    samples = 150
+    cases = [(16, T_C, True), (64, T_C, True)]
+    cases += [(n, t, False) for t, n in _xiscan_points() if n >= 4 * percolation.MIN_RUNG]
+    for n, t, half in cases:
+        counts = []
+        for chunk, stack_sites in ((1, None), (2, None), (samples, None), (samples, 4000)):
+            with monkeypatch.context() as m:
+                m.setattr(estimators, "ONE_ARM_CHUNK", chunk)
+                if stack_sites:
+                    m.setattr(percolation, "MAX_STACK_SITES", stack_sites)
+                hashed.clear()
+                counts.append(estimate_one_arm(n, t, PHI, samples, half, 4242).successes)
+                if chunk == samples and not stack_sites:
+                    assert any(0 < k < samples for k in hashed[1:]), (n, t, hashed)
+        assert len(set(counts)) == 1, (n, t, counts)
+        assert 0 < counts[0] < samples
+
+
+def test_ladder_matches_walk_at_xiscan_points():
+    # 'auto' climbs the window ladder at every t; the lazy walk is an
+    # independent code path and must give each seed's indicator.
+    for j, (t, n) in enumerate(_xiscan_points()):
+        seeds = [clocks.derive_seed(4343, 1000 * j + i) for i in range(150)]
+        got = percolation.one_arm_indicators(n, t, PHI, seeds, False).tolist()
+        walk = [percolation.one_arm_indicator(n, t, PHI, s, False, "walk") for s in seeds]
+        assert got == walk, (t, n)
+        assert any(got), (t, n)
 
 
 def test_fit_decay_exact_exponential():

@@ -4,25 +4,84 @@ from collections import defaultdict
 
 import numpy as np
 import pytest
+from scipy import ndimage
 from scipy.integrate import solve_ivp
 
 from firelab import clocks, firesim, invariants
 from firelab.clocks import T_C
 from firelab.firesim import (
     DestructionRecord,
-    FireCell,
-    UncertifiedCellError,
-    decompose_cells,
     height_bracket,
     height_of_destruction,
     reconstruct_occupancy,
     run,
-    run_cell,
 )
-from firelab.lattice import ConeRegion, Window, outer_boundary
+from firelab.lattice import TRI_STRUCTURE, ConeRegion, Window, outer_boundary
 
 PHI = math.pi / 3
 SQ3 = math.sqrt(3.0)
+
+
+# Fire cells with explicit closures: the oracle for the cell factorization
+# that firesim._decompose certifies.
+
+class UncertifiedCellError(ValueError):
+    """Cell dynamics are only exact when the closure avoids the window edge."""
+
+
+@dataclasses.dataclass
+class FireCell:
+    """One cluster of the t_c growth snapshot plus its outer boundary."""
+
+    label: int
+    core: np.ndarray     # (m, 2) site array, columns (k, l)
+    closure: np.ndarray  # (m', 2) site array
+    certified: bool
+
+    @property
+    def size(self) -> int:
+        return int(self.core.shape[0])
+
+    def closure_window(self) -> Window:
+        ks = self.closure[:, 0]
+        ls = self.closure[:, 1]
+        return Window(int(ks.min()), int(ks.max()), int(ls.min()), int(ls.max()))
+
+    def closure_mask(self, window: Window) -> np.ndarray:
+        m = np.zeros((window.n_rows, window.n_cols), dtype=bool)
+        m[self.closure[:, 1] - window.l_min, self.closure[:, 0] - window.k_min] = True
+        return m
+
+
+def decompose_cells(window: Window, seed: int) -> list[FireCell]:
+    """Fire cells of the window under a seed: cores are exactly the
+    clusters of the growth snapshot at t_c, flags from ``_decompose``."""
+    labels, certified = firesim._decompose(window, clocks.first_arrival_grid(seed, window))
+    cells = []
+    for lab, slc in enumerate(ndimage.find_objects(labels), start=1):
+        r0 = max(slc[0].start - 1, 0)
+        r1 = min(slc[0].stop + 1, window.n_rows)
+        c0 = max(slc[1].start - 1, 0)
+        c1 = min(slc[1].stop + 1, window.n_cols)
+        local = labels[r0:r1, c0:c1] == lab
+        # Dilation clipped at the array edge loses out-of-window sites; such
+        # a cell has a site in the edge band and is uncertified.
+        dil = ndimage.binary_dilation(local, structure=TRI_STRUCTURE)
+        rr, cc = np.nonzero(local)
+        core = np.column_stack((cc + c0 + window.k_min, rr + r0 + window.l_min))
+        rr2, cc2 = np.nonzero(dil)
+        closure = np.column_stack((cc2 + c0 + window.k_min, rr2 + r0 + window.l_min))
+        cells.append(FireCell(lab, core, closure, bool(certified[lab])))
+    return cells
+
+
+def run_cell(cell: FireCell, seed: int, t_end: float = T_C):
+    """Forest-fire dynamics restricted to one certified cell's closure."""
+    if not cell.certified:
+        raise UncertifiedCellError(f"cell {cell.label} touches the window edge")
+    w = cell.closure_window()
+    _, records = run(w, seed, t_end, mask=cell.closure_mask(w))
+    return records
 
 
 def destruction_free_probability(t_end: float) -> float:

@@ -316,9 +316,9 @@ def _start_cluster_times(center, surface, window, arrivals, half):
 
 @pytest.mark.parametrize("where", ["origin", "w"])
 def test_ladder_query_thresholds_match_full_snapshot(where, monkeypatch):
-    # One query answers many thresholds, asked in a shuffled order; each
-    # answer is is_connected on the full snapshot at that time, and each
-    # window of the ladder is hashed at most once per query.
+    # One query of one seed answers many thresholds, asked in a shuffled
+    # order; each answer is is_connected on the full snapshot at that time,
+    # and each window of the ladder is hashed at most once per query.
     hashed = []
     first_arrival_grid = clocks.first_arrival_grid
 
@@ -352,8 +352,8 @@ def test_ladder_query_thresholds_match_full_snapshot(where, monkeypatch):
             hashed.clear()
             with monkeypatch.context() as m:
                 m.setattr(clocks, "first_arrival_grid", recording)
-                query = percolation._ladder_query(surface, window, seed, half)
-                assert [query(t) for t in thresholds] == want
+                query = percolation._ladder_query(surface, window, [seed], half)
+                assert [bool(query(t)[0]) for t in thresholds] == want
             assert len(hashed) == len(set(hashed))
             flips += any(want) and not all(want)
     assert flips >= 10
