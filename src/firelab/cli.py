@@ -97,6 +97,8 @@ class RunConfig:
                 f"t_c = log 2 ~ {T_C:.6f}")
         if not 0.0 <= self.t <= T_C + 1e-12:
             raise ConfigError("t must lie in [0, t_c]")
+        if not math.isfinite(self.x):
+            raise ConfigError("x must be finite")
         if self.window_width < 2 or self.window_height < 2:
             raise ConfigError("window dimensions must be >= 2")
         if not 0.0 < self.phi < math.pi / 2:
@@ -113,6 +115,8 @@ class RunConfig:
             raise ConfigError("model must be exp or n_exp")
         if not self.heights_list or any(h < 4 for h in self.heights_list):
             raise ConfigError("heights_list entries must be >= 4")
+        if not 0.0 < self.width_factor < math.inf:
+            raise ConfigError("width_factor must be positive and finite")
         if self.verify_runs < 1:
             raise ConfigError("verify_runs must be >= 1")
         if self.threads < 0:
@@ -295,21 +299,6 @@ def _require_empty_out(path: str) -> None:
                           " which the finished run directory would replace")
 
 
-def _fit_dict(fit: estimators.FitResult) -> dict:
-    return {
-        "slope": fit.slope,
-        "intercept": fit.intercept,
-        "slope_se": fit.slope_se,
-        "slope_ci": list(fit.slope_ci),
-        "r2": fit.r2,
-        "residual_norm": fit.residual_norm,
-        "n_points": fit.n_points,
-        "x_transform": fit.x_transform,
-        "y_transform": fit.y_transform,
-        "model": fit.model,
-    }
-
-
 def _estimate_row(n, est) -> tuple:
     return (n, est.point, est.ci_low, est.ci_high, est.n_samples)
 
@@ -368,7 +357,7 @@ def cmd_onearm(config: RunConfig, pool_map) -> int:
     report = {"t": config.t, "phi": config.phi, "half_plane": config.half_plane}
     fit = estimators.powerlaw_fit(points)
     if fit is not None:
-        report["loglog_fit"] = _fit_dict(fit)
+        report["loglog_fit"] = dataclasses.asdict(fit)
     else:
         report["loglog_fit"] = None
         report["warning"] = "too few nonzero estimates for a slope fit"
@@ -384,7 +373,7 @@ def cmd_xiscan(config: RunConfig, pool_map) -> int:
         xis = [g ** (-4.0 / 3.0) for g in gaps]
         fit = estimators.fit_xi_scan(list(config.t_list), xis)
         rows = [(t, T_C - t, xi, "", "") for t, xi in zip(config.t_list, xis)]
-        report = {"synthetic": True, "fit": _fit_dict(fit)}
+        report = {"synthetic": True, "fit": dataclasses.asdict(fit)}
     else:
         scan = estimators.scan_xi_exponent(
             list(config.t_list), config.phi, config.samples_per_n,
@@ -393,7 +382,7 @@ def cmd_xiscan(config: RunConfig, pool_map) -> int:
                 for t, xf in scan.xis]
         report = {
             "synthetic": False,
-            "fit": _fit_dict(scan.fit),
+            "fit": dataclasses.asdict(scan.fit),
             "per_t": [{
                 "t": t, "xi": xf.xi, "xi_ci": list(xf.xi_ci),
                 "r2": xf.fit.r2, "warnings": xf.warnings,
@@ -439,7 +428,7 @@ def cmd_events(config: RunConfig, pool_map) -> int:
             "partial_sums": bc.partial_sums,
             "partial_sums_upper": bc.partial_sums_upper,
             "verdict": bc.verdict,
-            "fit": _fit_dict(bc.slope_fit) if bc.slope_fit else None,
+            "fit": dataclasses.asdict(bc.slope_fit) if bc.slope_fit else None,
         }
     rundir.add("events.csv",
                csv_text(["n", "A", "B", "C", "D", "samples"], rows))

@@ -30,8 +30,7 @@ and w is connected just below j_last", and D is B and not C.  The coupled
 sampler asks them on one window ladder (``percolation._ladder_query``).
 
 Sample-wise, A implies B, C implies the connection part of B, and
-(B and not C) equals D.  Left-side events reduce to right-side events of
-the reflected parameters.
+(B and not C) equals D.
 """
 
 import math
@@ -55,6 +54,10 @@ from .percolation import (
 
 DEFAULT_PHI = math.pi / 3
 DEFAULT_DELTA = 1.0 / 24.0
+# Intervals and slope CIs are at 95%: the normal quantile of the Wilson
+# interval, and the two-sided level of the fits' t intervals.
+Z_95 = 1.959963984540054
+ALPHA = 0.05
 
 
 class FitError(RuntimeError):
@@ -76,15 +79,15 @@ class EstimateResult:
         return math.sqrt(max(p * (1.0 - p), 1e-12) / self.n_samples)
 
 
-def wilson_interval(successes: int, n: int, z: float = 1.959963984540054) -> tuple[float, float]:
-    """95% Wilson score interval by default; robust at few successes."""
+def wilson_interval(successes: int, n: int) -> tuple[float, float]:
+    """95% Wilson score interval; robust at few successes."""
     if n <= 0:
         raise ValueError("need n >= 1")
     p = successes / n
-    z2 = z * z
+    z2 = Z_95 * Z_95
     denom = 1.0 + z2 / n
     center = (p + z2 / (2.0 * n)) / denom
-    half = z * math.sqrt(p * (1.0 - p) / n + z2 / (4.0 * n * n)) / denom
+    half = Z_95 * math.sqrt(p * (1.0 - p) / n + z2 / (4.0 * n * n)) / denom
     lo = 0.0 if successes == 0 else max(0.0, center - half)
     hi = 1.0 if successes == n else min(1.0, center + half)
     return min(lo, p), max(hi, p)
@@ -112,7 +115,8 @@ class FitResult:
 
 
 def linear_fit(x, y, x_transform: str = "id", y_transform: str = "id",
-               model: str = "linear", alpha: float = 0.05) -> FitResult:
+               model: str = "linear") -> FitResult:
+    """Least-squares line; the slope CI is the 95% t interval."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     n = x.size
@@ -131,7 +135,7 @@ def linear_fit(x, y, x_transform: str = "id", y_transform: str = "id",
     if n > 2:
         sigma2 = sse / (n - 2)
         se = math.sqrt(sigma2 / sxx)
-        tcrit = float(stats.t.ppf(1.0 - alpha / 2.0, n - 2))
+        tcrit = float(stats.t.ppf(1.0 - ALPHA / 2.0, n - 2))
         ci = (slope - tcrit * se, slope + tcrit * se)
     else:
         se, ci = math.nan, (-math.inf, math.inf)
@@ -223,9 +227,9 @@ def xi_from_fit(fit: FitResult) -> tuple[float, tuple[float, float]]:
 
 def fit_correlation_length(t: float, phi: float, n_list, samples_per_n: int,
                            base_seed: int, model: str = "n_exp",
-                           half_plane: bool = False, engine: str = "auto",
                            pool_map=None) -> XiFit:
-    """Correlation length at a subcritical time from one-arm decay."""
+    """Correlation length at a subcritical time from full-plane one-arm
+    decay."""
     if not t < T_C:
         raise ValueError("correlation length needs t < t_c")
     n_list = sorted(set(int(n) for n in n_list))
@@ -234,8 +238,8 @@ def fit_correlation_length(t: float, phi: float, n_list, samples_per_n: int,
     warnings: list[str] = []
     points: list[tuple[int, EstimateResult]] = []
     for i, n in enumerate(n_list):
-        est = estimate_one_arm(n, t, phi, samples_per_n, half_plane,
-                               derive_seed(base_seed, 10_000 + i), engine, pool_map)
+        est = estimate_one_arm(n, t, phi, samples_per_n, False,
+                               derive_seed(base_seed, 10_000 + i), pool_map=pool_map)
         points.append((n, est))
         if 0 < est.successes < 20:
             warnings.append(f"n={n}: only {est.successes} successes")
@@ -252,15 +256,17 @@ def fit_correlation_length(t: float, phi: float, n_list, samples_per_n: int,
     return XiFit(xi, ci, fit, points, warnings)
 
 
-def xi_scan_n_list(t: float, multipliers=(0.5, 0.8, 1.2, 1.7, 2.3)) -> list[int]:
-    """Deterministic rhombus sizes spanning the expected correlation length.
+# Rhombus sizes of an xi scan, relative to the bare power law
+# (t_c - t)^(-4/3); the measured decay length runs at roughly half of it in
+# this range, so the sizes probe about 1 to 4.5 decay lengths.
+XI_SCAN_MULTIPLIERS = (0.5, 0.8, 1.2, 1.7, 2.3)
 
-    The multipliers are relative to the bare power law; the measured decay
-    length runs at roughly half of it in this range, so the list probes
-    about 1 to 4.5 decay lengths.
-    """
+
+def xi_scan_n_list(t: float) -> list[int]:
+    """Deterministic rhombus sizes spanning the expected correlation length
+    (XI_SCAN_MULTIPLIERS)."""
     xi_guess = (T_C - t) ** (-4.0 / 3.0)
-    ns = sorted({max(3, round(xi_guess * m)) for m in multipliers})
+    ns = sorted({max(3, round(xi_guess * m)) for m in XI_SCAN_MULTIPLIERS})
     extra = 1
     while len(ns) < 4:
         ns = sorted(set(ns) | {max(ns) + extra})
@@ -333,9 +339,6 @@ class EventParams:
     def w_site(self) -> Site:
         return (math.ceil(self.x) + self.n, 0)
 
-    def reflected(self) -> "EventParams":
-        return EventParams(self.n, -self.x, self.phi, self.delta)
-
     def surface(self) -> RhombusSurface:
         return RhombusSurface(self.w_site, self.n, self.phi)
 
@@ -346,14 +349,6 @@ class EventParams:
         return window_for_rhombus(self.w_site, self.n, self.phi, half_plane=True)
 
 
-def _resolve_side(params: EventParams, side: str) -> EventParams:
-    if side == "right":
-        return params
-    if side == "left":
-        return params.reflected()
-    raise ValueError(f"side must be 'right' or 'left', got {side!r}")
-
-
 def _before(s: float) -> float:
     """The largest float below s: w is connected there exactly when T < s."""
     return math.nextafter(s, -math.inf)
@@ -361,14 +356,13 @@ def _before(s: float) -> float:
 
 def _sample_event_c(seed: int, params: EventParams) -> bool:
     window = params.window()
-    occ = sample_configuration(window, _before(params.slice_time), seed, True)
+    occ = sample_configuration(window, _before(params.slice_time), seed)
     return is_connected(params.w_site, params.surface(), window, occ)
 
 
 def estimate_event_C(params: EventParams, samples: int, base_seed: int,
-                     side: str = "right", pool_map=None) -> EstimateResult:
+                     pool_map=None) -> EstimateResult:
     """Connection to the rhombus surface before the time slice."""
-    params = _resolve_side(params, side)
     seeds = [derive_seed(base_seed, i) for i in range(samples)]
     hits = sum(_pmap(pool_map, partial(_sample_event_c, params=params), seeds))
     return make_estimate(hits, samples)
@@ -390,9 +384,8 @@ def _sample_event_d(seed: int, params: EventParams) -> bool:
 
 
 def estimate_event_D(params: EventParams, samples: int, base_seed: int,
-                     side: str = "right", pool_map=None) -> EstimateResult:
+                     pool_map=None) -> EstimateResult:
     """Late connection combined with a late jump of w's own clock."""
-    params = _resolve_side(params, side)
     seeds = [derive_seed(base_seed, i) for i in range(samples)]
     hits = sum(_pmap(pool_map, partial(_sample_event_d, params=params), seeds))
     return make_estimate(hits, samples)
@@ -467,10 +460,8 @@ def _sample_coupled(seed: int, params: EventParams, include_a: bool) -> tuple:
 
 
 def coupled_event_stats(params: EventParams, samples: int, base_seed: int,
-                        include_a: bool = True, side: str = "right",
-                        pool_map=None) -> CoupledEventStats:
+                        include_a: bool = True, pool_map=None) -> CoupledEventStats:
     """Evaluate A, B, C, D on common seeds and count implication failures."""
-    params = _resolve_side(params, side)
     seeds = [derive_seed(base_seed, i) for i in range(samples)]
     rows = _pmap(pool_map, partial(_sample_coupled, params=params,
                                    include_a=include_a), seeds)
@@ -572,17 +563,17 @@ class HeightDistribution:
         """Quantile of ``heights``; a lower bound where samples are uncertified."""
         return float(np.quantile(self.heights, q, method="inverted_cdf"))
 
-    def quantile_ci(self, q: float, alpha: float = 0.05) -> tuple[float, float]:
-        """Order-statistic confidence interval over ``heights``; it bounds
-        lower bounds where samples are uncertified."""
-        return _order_statistic_ci(self.heights, q, alpha)
+    def quantile_ci(self, q: float) -> tuple[float, float]:
+        """95% order-statistic confidence interval over ``heights``; it
+        bounds lower bounds where samples are uncertified."""
+        return _order_statistic_ci(self.heights, q, ALPHA)
 
     def bracket(self, q: float) -> tuple[float, float]:
         """The q-quantile of ``lower`` and of ``upper``."""
         return (float(np.quantile(self.lower, q, method="inverted_cdf")),
                 float(np.quantile(self.upper, q, method="inverted_cdf")))
 
-    def bracket_ci(self, q: float, alpha: float = 0.05) -> tuple[float, float]:
+    def bracket_ci(self, q: float, alpha: float = ALPHA) -> tuple[float, float]:
         """Confidence interval for the q-quantile of the destruction height:
         the lower order-statistic end of ``lower`` and the upper end of
         ``upper``."""

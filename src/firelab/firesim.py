@@ -23,7 +23,6 @@ closure stays clear of the left, right and top window edges evolves
 exactly as in the infinite volume, which is what certification means here.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,19 +38,8 @@ from .lattice import (
     Site,
     TubeRegion,
     Window,
+    region_select,
 )
-
-
-def region_select(xs: np.ndarray, ys: np.ndarray, region) -> np.ndarray:
-    """Boolean membership of embedded points in a cone or tube region."""
-    if isinstance(region, ConeRegion):
-        return (ys >= 0.0) & (np.abs(xs - region.apex_x) <= ys * region.cot_phi)
-    if isinstance(region, TubeRegion):
-        ux, uy = math.cos(region.phi), math.sin(region.phi)
-        dx, dy = xs - region.x, ys
-        tt = np.maximum(dx * ux + dy * uy, 0.0)
-        return (ys >= 0.0) & ((dx - tt * ux) ** 2 + (dy - tt * uy) ** 2 <= 0.25)
-    raise TypeError(f"unsupported region {region!r}")
 
 
 @dataclass
@@ -86,7 +74,6 @@ class FireState:
     window: Window
     occ: np.ndarray
     t_end: float
-    mask: np.ndarray | None = field(default=None, repr=False)
     events: list | None = field(default=None, repr=False)
     # First clock arrivals on the window, hashed once per run.
     arrivals: np.ndarray | None = field(default=None, repr=False)
@@ -103,33 +90,30 @@ class FireEvent:
 
 
 def run(window: Window, seed: int, t_end: float = T_C,
-        mask: np.ndarray | None = None, collect_events: bool = False):
+        collect_events: bool = False):
     """Run the forest-fire process; returns (FireState, destruction log).
 
-    ``mask`` restricts the dynamics to a site subset (used for fire cells);
     ``collect_events`` keeps the grow and ring events in ``FireState.events``.
     """
     if t_end > T_C + 1e-12:
         raise ValueError(f"t_end is capped at t_c = log 2 ~ {T_C:.6f}")
     if t_end <= 0.0:
         raise ValueError("t_end must be positive")
-    if mask is None and window.l_min != 0:
+    if window.l_min != 0:
         raise ValueError("forest-fire windows live on the half-plane, l_min = 0")
     states = clocks.window_states(seed, window)
     arrivals = clocks.gap_from_state(states, 0)
-    live = np.ones(arrivals.shape, dtype=bool) if mask is None else mask.astype(bool)
-    live[:max(1 - window.l_min, 0)] = False  # trees grow in rows l >= 1 only
-    ring_t, ring_k = _ring_schedule(window, t_end, mask, states, arrivals)
+    ring_t, ring_k = _ring_schedule(window, t_end, states, arrivals)
 
     # Clock cursors (module docstring) in a flat list, and each site's gap 1,
     # the first step of its first burn, in a flat array, both padded by one
-    # site on each side.  Dead and padding sites hold +inf and are never
-    # occupied.
+    # site on each side.  Row 0, where trees never grow, and the padding
+    # hold +inf and are never occupied.
     stride = window.n_cols + 2
 
     def padded(grid: np.ndarray) -> np.ndarray:
         flat = np.full((window.n_rows + 2, stride), np.inf)
-        flat[1:-1, 1:-1][live] = grid[live]
+        flat[2:-1, 1:-1] = grid[1:]
         return flat.ravel()
 
     cur = padded(arrivals).tolist()
@@ -169,27 +153,23 @@ def run(window: Window, seed: int, t_end: float = T_C,
                              dtype=np.int64)
             records.append(DestructionRecord(t, (k, 0), sites))
 
-    grown = live & (arrivals <= t_end)
+    grown = arrivals <= t_end
+    grown[0] = False
     occ = grown.astype(np.uint8)
     for i in jumps:
         occ[i // stride - 1, i % stride - 1] = cur[i] <= t_end
     events = None
     if collect_events:
         events = _event_log(window, arrivals, grown, ring_t, ring_k, regrown)
-    return FireState(window, occ, t_end, mask, events, arrivals), records
+    return FireState(window, occ, t_end, events, arrivals), records
 
 
-def _ring_schedule(window: Window, t_end: float, mask: np.ndarray | None,
-                   states: np.ndarray, arrivals: np.ndarray):
-    """Every jump by ``t_end`` of the row-0 clocks in the run, as lists of
+def _ring_schedule(window: Window, t_end: float, states: np.ndarray,
+                   arrivals: np.ndarray):
+    """Every jump by ``t_end`` of the window's row-0 clocks, as lists of
     times and ks in (t, k) order."""
-    if not window.l_min <= 0 <= window.l_max:
-        return [], []
-    r = -window.l_min
     ks = np.arange(window.k_min, window.k_max + 1)
-    h, t = states[r], arrivals[r]
-    if mask is not None:
-        ks, h, t = ks[mask[r]], h[mask[r]], t[mask[r]]
+    h, t = states[0], arrivals[0]
     all_t, all_k = [t[:0]], [ks[:0]]
     j = 0
     while (due := t <= t_end).any():

@@ -32,8 +32,8 @@ def fire_log_failures(state: firesim.FireState,
       ``probe_times``;
     * growth happens only in rows l >= 1 and only at a jump of the site's
       clock;
-    * every jump up to ``state.t_end`` of a row-0 clock in the run's sites
-      is logged as exactly one ring, and no other ring is logged;
+    * every jump up to ``state.t_end`` of a row-0 clock of the window is
+      logged as exactly one ring, and no other ring is logged;
     * a record is non-empty, lies in rows l >= 1, was occupied just before
       its time, and is ignited at a jump of a row-0 clock on its outer
       boundary;
@@ -69,11 +69,8 @@ def fire_log_failures(state: firesim.FireState,
 
     logged = Counter((ev.site, ev.time) for ev in events if ev.kind == "ring")
     jumps = Counter()
-    if window.l_min == 0:
-        for c in range(window.n_cols):
-            if state.mask is None or state.mask[0, c]:
-                site = (window.k_min + c, 0)
-                jumps.update((site, t) for t in clocks.jumps_in(seed, site, 0.0, t_end))
+    for k in range(window.k_min, window.k_max + 1):
+        jumps.update(((k, 0), t) for t in clocks.jumps_in(seed, (k, 0), 0.0, t_end))
     for site, t in sorted(logged.keys() | jumps.keys()):
         if logged[(site, t)] != jumps[(site, t)]:
             failures.append(f"ring at {site} t={t:.6f} logged {logged[(site, t)]} "
@@ -91,7 +88,7 @@ def fire_log_failures(state: firesim.FireState,
             failures.append(f"ignition {rec.ignition} off the boundary row at {at}")
         if rec.time not in clocks.jumps_in(seed, rec.ignition, 0.0, t_end):
             failures.append(f"ignition clock silent at {at}")
-        if rec.ignition not in outer_boundary(destroyed, half_plane=True):
+        if rec.ignition not in outer_boundary(destroyed):
             failures.append(f"ignition site not on the cluster boundary at {at}")
         occ_before = firesim.reconstruct_occupancy(window, events, records,
                                                    rec.time, strict=True)
@@ -120,17 +117,18 @@ def two_state_check(seeds, p_true: float, n_se: float) -> tuple[float, list[str]
     against ``p_true`` within ``n_se`` binomial standard errors.
 
     The site (0, 1) grows at rate 1 and is burnt at rate 2 by its igniters
-    (0, 0) and (1, 0), so it follows a two-state chain.  Returns the share
-    and the failures.
+    (0, 0) and (1, 0), so it follows a two-state chain.  The run covers the
+    window of its igniters.  The window's other interior site, (1, 1), has
+    (1, 0) as its only in-window igniter, and (1, 0) ignites (0, 1) too, so
+    (1, 1) burns together with (0, 1) or alone and never changes (0, 1)'s
+    chain.  Returns the share and the failures.
     """
     window = Window(0, 1, 0, 1)
-    mask = np.array([[True, True],     # row l = 0: the igniters
-                     [True, False]])   # row l = 1: the interior site
     seeds = list(seeds)
     hits = 0
     for seed in seeds:
-        _, records = firesim.run(window, seed, T_C, mask=mask)
-        hits += bool(records)
+        _, records = firesim.run(window, seed, T_C)
+        hits += any([0, 1] in rec.sites.tolist() for rec in records)
     p_hat = hits / len(seeds)
     se = math.sqrt(p_true * (1.0 - p_true) / len(seeds))
     if abs(p_hat - p_true) <= n_se * se:

@@ -55,12 +55,12 @@ def half_plane_neighbors(site: Site) -> list[Site]:
     return [(k + dk, l + dl) for dk, dl in NEIGHBOR_OFFSETS if l + dl >= 0]
 
 
-def outer_boundary(sites: set[Site], half_plane: bool = True) -> set[Site]:
-    """Sites not in ``sites`` adjacent to it; half-plane keeps ``l >= 0``."""
+def outer_boundary(sites: set[Site]) -> set[Site]:
+    """Half-plane sites (``l >= 0``) not in ``sites`` adjacent to it."""
     out: set[Site] = set()
     for s in sites:
         for v in neighbors(s):
-            if v not in sites and (not half_plane or v[1] >= 0):
+            if v not in sites and v[1] >= 0:
                 out.add(v)
     return out
 
@@ -267,25 +267,39 @@ def seg_dist_sq_grid(X: np.ndarray, Y: np.ndarray, ax, ay, bx, by) -> np.ndarray
 
 
 def near_surface_mask(window: Window, surface: RhombusSurface,
-                      half_plane: bool, radius: float = 1.0) -> np.ndarray:
-    """Boolean grid of window sites within ``radius`` of the surface."""
+                      half_plane: bool) -> np.ndarray:
+    """Boolean grid of window sites within distance 1 of the surface."""
     X, Y = window.coord_grids()
-    r2 = radius * radius
     mask = np.zeros(X.shape, dtype=bool)
     for ax, ay, bx, by in surface.segments(half_plane):
-        mask |= seg_dist_sq_grid(X, Y, ax, ay, bx, by) <= r2
+        mask |= seg_dist_sq_grid(X, Y, ax, ay, bx, by) <= 1.0
     return mask
 
 
-def near_cone_mask(window: Window, cone: ConeRegion, radius: float = 1.0) -> np.ndarray:
-    """Boolean grid of window sites within ``radius`` of the cone region."""
+def _halfline_dist_sq_grid(dx: np.ndarray, dy: np.ndarray,
+                           ux: float, uy: float) -> np.ndarray:
+    """Squared distance from each point (dx, dy) to the half-line
+    t*(ux, uy), t >= 0 (the array form of :func:`_halfline_dist`)."""
+    t = np.maximum(dx * ux + dy * uy, 0.0)
+    return (dx - t * ux) ** 2 + (dy - t * uy) ** 2
+
+
+def region_select(xs: np.ndarray, ys: np.ndarray, region) -> np.ndarray:
+    """Boolean membership of embedded points in a cone or tube region."""
+    if isinstance(region, ConeRegion):
+        return (ys >= 0.0) & (np.abs(xs - region.apex_x) <= ys * region.cot_phi)
+    if isinstance(region, TubeRegion):
+        ux, uy = math.cos(region.phi), math.sin(region.phi)
+        return (ys >= 0.0) & (_halfline_dist_sq_grid(xs - region.x, ys, ux, uy) <= 0.25)
+    raise TypeError(f"unsupported region {region!r}")
+
+
+def near_cone_mask(window: Window, cone: ConeRegion) -> np.ndarray:
+    """Boolean grid of window sites within distance 1 of the cone region:
+    inside it or within 1 of one of its two boundary rays."""
     X, Y = window.coord_grids()
-    inside = (Y >= 0.0) & (np.abs(X - cone.apex_x) <= Y * cone.cot_phi)
-    r2 = radius * radius
+    near = region_select(X, Y, cone)
     ux, uy = math.cos(cone.phi), math.sin(cone.phi)
-    near = np.zeros(X.shape, dtype=bool)
     for sx in (ux, -ux):
-        dx, dy = X - cone.apex_x, Y
-        t = np.maximum(dx * sx + dy * uy, 0.0)
-        near |= (dx - t * sx) ** 2 + (dy - t * uy) ** 2 <= r2
-    return inside | near
+        near |= _halfline_dist_sq_grid(X - cone.apex_x, Y, sx, uy) <= 1.0
+    return near

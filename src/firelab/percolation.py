@@ -30,36 +30,39 @@ from .lattice import (
 )
 
 
+# Sites a query window extends beyond the dist-1 band of its target.
+PAD = 2
+
+
 class WindowTooSmallError(ValueError):
     """The window does not cover the target geometry plus padding."""
 
 
-def sample_configuration(window: Window, t: float, seed: int,
-                         half_plane: bool = True) -> np.ndarray:
+def sample_configuration(window: Window, t: float, seed: int) -> np.ndarray:
     """Deterministic growth snapshot at time t under a run seed, as the
-    boolean occupancy grid of the window."""
+    boolean occupancy grid of a half-plane window."""
     if t < 0.0:
         raise ValueError("time must be >= 0")
-    if half_plane and window.l_min < 0:
+    if window.l_min < 0:
         raise ValueError("half-plane window must not reach below l = 0")
     return clocks.first_arrival_grid(seed, window) <= t
 
 
-def check_window(window: Window, target, half_plane: bool, pad: int = 2) -> None:
+def check_window(window: Window, target, half_plane: bool) -> None:
     """Raise :class:`WindowTooSmallError` unless the window extends at least
-    ``pad`` sites beyond the dist-1 band of the target geometry, and, for a
+    PAD sites beyond the dist-1 band of the target geometry, and, for a
     half-plane query, has no rows below l = 0."""
     if half_plane and window.l_min < 0:
         raise WindowTooSmallError(f"half-plane window {window} reaches below l = 0")
     if isinstance(target, RhombusSurface):
-        need = window_for_rhombus(target.center, target.n, target.phi, half_plane, pad)
+        need = window_for_rhombus(target.center, target.n, target.phi, half_plane)
         if not (window.k_min <= need.k_min and need.k_max <= window.k_max
                 and window.l_min <= need.l_min and need.l_max <= window.l_max):
             raise WindowTooSmallError(
                 f"window {window} too small for rhombus n={target.n} at {target.center}")
     elif isinstance(target, ConeRegion):
         # Infinite region: require sideways coverage up to the window top.
-        margin = 1.0 + pad
+        margin = 1.0 + PAD
         y_top = SQRT3_2 * window.l_max
         half = target.half_width_at(y_top)
         x0, x1 = target.apex_x - half, target.apex_x + half
@@ -137,16 +140,15 @@ BELOW_FLOOR = object()  # sentinel: connection already present at the floor time
 
 
 def first_connection_time(w: Site, target, window: Window, seed: int,
-                          t_max: float = T_C, half_plane: bool = True,
-                          floor: float = 0.0):
-    """Minimal t <= t_max at which ``is_connected`` holds; None otherwise.
+                          half_plane: bool = True, floor: float = 0.0):
+    """Minimal t <= t_c at which ``is_connected`` holds; None otherwise.
 
     With ``floor > 0`` the answer is coarse below the floor: BELOW_FLOOR
     when the connection already holds at time ``floor``.
 
     The growth process only adds sites, so the connection is monotone in t
     and first holds at a first-arrival time.  A bisection over the distinct
-    arrivals in (floor, t_max] finds it, labelling one snapshot per probe.
+    arrivals in (floor, t_c] finds it, labelling one snapshot per probe.
     """
     starts, tmask = _query(w, target, window, half_plane)
     arrivals = clocks.first_arrival_grid(seed, window)
@@ -154,11 +156,11 @@ def first_connection_time(w: Site, target, window: Window, seed: int,
     def holds(t: float) -> bool:
         return _connects(arrivals <= t, starts, tmask)
 
-    if not holds(t_max):
+    if not holds(T_C):
         return None
     if floor > 0.0 and holds(floor):
         return BELOW_FLOOR
-    times = np.unique(arrivals[(arrivals > floor) & (arrivals <= t_max)])
+    times = np.unique(arrivals[(arrivals > floor) & (arrivals <= T_C)])
     lo, hi = 0, times.size - 1  # holds(times[hi]); not holds below times[lo]
     while lo < hi:
         mid = (lo + hi) // 2
@@ -170,13 +172,12 @@ def first_connection_time(w: Site, target, window: Window, seed: int,
 
 
 @lru_cache(maxsize=256)
-def window_for_rhombus(center: Site, n: int, phi: float, half_plane: bool,
-                       pad: int = 2) -> Window:
-    """Smallest axial window covering the rhombus, its dist-1 band and
-    ``pad`` extra sites in every direction (cached; ``Window`` is frozen)."""
+def window_for_rhombus(center: Site, n: int, phi: float, half_plane: bool) -> Window:
+    """Smallest axial window covering the rhombus, its dist-1 band and PAD
+    extra sites in every direction (cached; ``Window`` is frozen)."""
     surface = RhombusSurface(center, n, phi)
     x0, x1, y0, y1 = surface.bounding_box(half_plane)
-    margin = 1.0 + pad
+    margin = 1.0 + PAD
     l_lo = math.floor((y0 - margin) / SQRT3_2)
     if half_plane:
         l_lo = max(l_lo, 0)
@@ -226,8 +227,7 @@ def one_arm_indicator(n: int, t: float, phi: float, seed: int,
 RUNG_RATIO = 4
 MIN_RUNG = 4
 # Sites in one hashed and labelled stack of a rung, unless a single seed's
-# rung is larger (n = 256's full window, 202,797 sites, goes alone), and in
-# the stacks a query of several seeds keeps for its later thresholds.
+# rung is larger (n = 256's full window, 202,797 sites, goes alone).
 MAX_STACK_SITES = 1 << 18
 
 
@@ -246,28 +246,25 @@ def _ladder_query(surface: RhombusSurface, window: Window, seeds,
     cluster, so when none meets the band the answer is False.  On each rung
     the seeds still undecided are hashed as one (seeds, rows, cols) stack of
     at most MAX_STACK_SITES sites and labelled plane by plane in one call;
-    the seeds it decides drop out before the next rung.  A stack is hashed
-    once, on first use, and kept for later thresholds while the kept stacks
-    hold at most MAX_STACK_SITES sites (a query of one seed keeps them all);
-    every threshold labels its own snapshot of it.
+    the seeds it decides drop out before the next rung.  A query of one
+    seed, the only kind asked more than one threshold, hashes each rung
+    once, on first use, and keeps it; every threshold labels its own
+    snapshot of it.
     """
     rungs = _ladder(surface, window, half_plane)
     seeds = list(seeds)
-    kept: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}
-    kept_sites = 0
+    kept: dict[int, np.ndarray] = {}  # a one-seed query's grids, by rung
 
-    def arrivals(rung: int, group: tuple[int, ...]) -> np.ndarray:
-        nonlocal kept_sites
-        stack = kept.get((rung, group))
-        if stack is None:
-            # One seed is hashed and labelled as a plain grid: cheaper per
-            # call, and the decisions below read it as a stack of one.
-            picked = [seeds[i] for i in group]
-            stack = clocks.first_arrival_grid(
-                picked if len(picked) > 1 else picked[0], rungs[rung][0])
-            if len(seeds) == 1 or kept_sites + stack.size <= MAX_STACK_SITES:
-                kept[rung, group] = stack
-                kept_sites += stack.size
+    def arrivals(rung: int, group: list[int]) -> np.ndarray:
+        if rung in kept:
+            return kept[rung]
+        # One seed is hashed and labelled as a plain grid: cheaper per
+        # call, and the decisions below read it as a stack of one.
+        picked = [seeds[i] for i in group]
+        stack = clocks.first_arrival_grid(
+            picked if len(picked) > 1 else picked[0], rungs[rung][0])
+        if len(seeds) == 1:
+            kept[rung] = stack
         return stack
 
     def connected(t: float) -> np.ndarray:
@@ -277,7 +274,7 @@ def _ladder_query(surface: RhombusSurface, window: Window, seeds,
             step = max(1, MAX_STACK_SITES // sub.n_sites)
             undecided = []
             for g in range(0, len(todo), step):
-                group = tuple(todo[g:g + step])
+                group = todo[g:g + step]
                 labels, is_start = _start_clusters(arrivals(rung, group) <= t, starts)
                 seen = is_start[labels.reshape(len(group), -1).take(watched, axis=1)]
                 hit = seen[:, :n_band].any(axis=1).tolist()

@@ -94,6 +94,20 @@ def test_simulate_rejects_t_end_beyond_cap(tmp_path, capsys):
     assert "t_c" in err
 
 
+@pytest.mark.parametrize("args", [
+    ["heights", "--width-factor", "0"],
+    ["heights", "--width-factor", "-1.5"],
+    ["heights", "--width-factor", "inf"],
+    ["events", "--x", "inf"],
+    ["simulate", "--x", "nan"],
+])
+def test_rejects_degenerate_width_factor_and_non_finite_x(tmp_path, capsys, args):
+    out = tmp_path / "x"
+    assert cli.main(args + ["--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+    assert "config error" in capsys.readouterr().err
+
+
 def test_onearm_rejects_zero_samples(tmp_path):
     assert cli.main(["onearm", "--samples", "0",
                      "--out", str(tmp_path / "x")]) == EXIT_CONFIG

@@ -279,7 +279,7 @@ def _bisection_reference(seed, params, include_a):
     bisection, compared with t_slice and j_last by strict inequality."""
     t_c = estimators.T_C
     t = percolation.first_connection_time(params.w_site, params.surface(),
-                                          params.window(), seed, t_c, True)
+                                          params.window(), seed)
     jumps = clocks.jumps_in(seed, params.w_site, 0.0, t_c)
     j_last = jumps[-1] if jumps else None
     conn = t is not None and t < t_c
@@ -381,14 +381,6 @@ def test_event_a_matches_snapshot_oracle():
         assert sample_event_a(seed, params) == expected, i
         outcomes.append(expected)
     assert any(outcomes) and not all(outcomes)
-
-
-def test_left_right_reflection():
-    right = estimate_event_C(EventParams(12, x=-0.3), 400, base_seed=21,
-                             side="right")
-    left = estimate_event_C(EventParams(12, x=0.3), 400, base_seed=21,
-                            side="left")
-    assert right == left
 
 
 def test_borel_cantelli_known_series():

@@ -47,11 +47,6 @@ class FireCell:
         ls = self.closure[:, 1]
         return Window(int(ks.min()), int(ks.max()), int(ls.min()), int(ls.max()))
 
-    def closure_mask(self, window: Window) -> np.ndarray:
-        m = np.zeros((window.n_rows, window.n_cols), dtype=bool)
-        m[self.closure[:, 1] - window.l_min, self.closure[:, 0] - window.k_min] = True
-        return m
-
 
 def decompose_cells(window: Window, seed: int) -> list[FireCell]:
     """Fire cells of the window under a seed: cores are exactly the
@@ -76,12 +71,14 @@ def decompose_cells(window: Window, seed: int) -> list[FireCell]:
 
 
 def run_cell(cell: FireCell, seed: int, t_end: float = T_C):
-    """Forest-fire dynamics restricted to one certified cell's closure."""
+    """Forest-fire dynamics restricted to one certified cell's closure, on
+    the naive reference runner."""
     if not cell.certified:
         raise UncertifiedCellError(f"cell {cell.label} touches the window edge")
-    w = cell.closure_window()
-    _, records = run(w, seed, t_end, mask=cell.closure_mask(w))
-    return records
+    closure = {(int(k), int(l)) for k, l in cell.closure}
+    _, records = _naive_run(cell.closure_window(), seed, t_end, closure)
+    return [DestructionRecord(t, ignition, np.array(sorted(sites), dtype=np.int64))
+            for t, ignition, sites in records]
 
 
 def destruction_free_probability(t_end: float) -> float:
@@ -327,7 +324,7 @@ def test_decompose_partition_and_closures():
             seen |= core
             total += len(core)
             closure = {(int(k), int(l)) for k, l in cell.closure}
-            assert closure == {s for s in core | outer_boundary(core, half_plane=True)
+            assert closure == {s for s in core | outer_boundary(core)
                                if window.contains(s)}
             # Certified exactly when the closure avoids the left, right and
             # top window edges.
@@ -422,7 +419,7 @@ def test_certified_height_strict_edge_cluster():
 
     def edge_cluster_in_cone(seed):
         cells = decompose_cells(window, seed)
-        from firelab.firesim import region_select
+        from firelab.lattice import region_select
         for cell in cells:
             if cell.certified:
                 continue
@@ -444,7 +441,8 @@ def test_certified_height_strict_monotone_under_window_growth():
     cone = ConeRegion(0.0, PHI)
     # Cap low enough that full certification of the stub is reachable.
     y_cap = 2 * SQ3 / 2
-    from firelab.firesim import _decompose, region_select
+    from firelab.firesim import _decompose
+    from firelab.lattice import region_select
 
     def strict_ok(window, seed):
         labels, certified = _decompose(window, clocks.first_arrival_grid(seed, window))
@@ -505,15 +503,15 @@ def test_replay_matches_final_state():
         assert (occ == state.occ).all()
 
 
-def _naive_run(window, seed, t_end):
+def _naive_run(window, seed, t_end, sites=None):
     """Definition-direct reference: apply every clock jump of every site in
     (time, l, k) order; a boundary jump clears the occupied clusters of its
-    adjacent interior sites.  No lazy queues, no event merging."""
+    adjacent interior sites.  No lazy queues, no event merging.  ``sites``
+    restricts the dynamics to a subset of the window's sites."""
     events = []
-    for l in range(window.l_min, window.l_max + 1):
-        for k in range(window.k_min, window.k_max + 1):
-            for t in clocks.jumps_in(seed, (k, l), 0.0, t_end):
-                events.append((t, l, k))
+    for k, l in window.sites() if sites is None else sites:
+        for t in clocks.jumps_in(seed, (k, l), 0.0, t_end):
+            events.append((t, l, k))
     events.sort()
     occ = {}
     records = []
@@ -554,18 +552,20 @@ def test_runner_matches_naive_reference():
             assert got == recs_naive
 
 
-def test_masked_run_above_the_boundary_row_only_grows():
-    # A cell closure may start above row 0: no boundary clock, no fire, and
-    # each masked site is occupied exactly when it has arrived.
-    window = Window(-4, 5, 2, 6)
-    for i in range(100):
-        seed = clocks.derive_seed(4040, i)
-        mask = np.random.default_rng(i).random((window.n_rows, window.n_cols)) < 0.7
-        arrivals = clocks.first_arrival_grid(seed, window)
-        for t_end in (T_C, 0.5):
-            state, records = run(window, seed, t_end, mask=mask)
-            assert records == []
-            assert (state.occ.astype(bool) == (mask & (arrivals <= t_end))).all()
+def test_two_state_check_matches_naive_run_on_the_igniters():
+    # Seed by seed, the two-state indicator equals a fire in the naive run
+    # restricted to the interior site (0, 1) and its igniters (0, 0) and
+    # (1, 0).
+    window = Window(0, 1, 0, 1)
+    sites = {(0, 0), (1, 0), (0, 1)}
+    hits = 0
+    for i in range(2000):
+        seed = clocks.derive_seed(606, i)
+        p_hat, _ = invariants.two_state_check([seed], invariants.TWO_STATE_P, 3.0)
+        _, records = _naive_run(window, seed, T_C, sites)
+        assert p_hat == float(bool(records)), i
+        hits += bool(records)
+    assert 0 < hits < 2000
 
 
 def test_destruction_log_rows_and_summary():

@@ -79,11 +79,11 @@ def test_neighbors_symmetric_on_window():
 
 def test_outer_boundary_of_boundary_site():
     # A boundary-row site has exactly four half-plane neighbors.
-    assert outer_boundary({(0, 0)}, half_plane=True) == {(1, 0), (-1, 0), (0, 1), (-1, 1)}
+    assert outer_boundary({(0, 0)}) == {(1, 0), (-1, 0), (0, 1), (-1, 1)}
 
 
 def test_outer_boundary_empty():
-    assert outer_boundary(set(), half_plane=True) == set()
+    assert outer_boundary(set()) == set()
 
 
 def test_outer_boundary_pair_brute_force():
@@ -97,7 +97,7 @@ def test_outer_boundary_pair_brute_force():
                 continue
             if any(v in cluster for v in neighbors(s)):
                 expected.add(s)
-    got = outer_boundary(cluster, half_plane=True)
+    got = outer_boundary(cluster)
     assert got == expected
     assert len(got) == 8
 
@@ -219,7 +219,7 @@ def test_window_validation_and_indexing():
 
 
 def test_vectorized_region_select_matches_region_classes():
-    from firelab.firesim import region_select
+    from firelab.lattice import region_select
     rng = random.Random(2)
     for _ in range(3000):
         cone = ConeRegion(rng.uniform(-3, 3), rng.uniform(0.2, 1.4))

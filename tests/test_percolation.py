@@ -182,7 +182,7 @@ def test_first_connection_time_matches_path_enumeration():
     window = window_for_rhombus((0, 0), 2, PHI, True)
     for i in range(40):
         seed = clocks.derive_seed(23, i)
-        got = first_connection_time((0, 0), surface, window, seed, t_max=T_C)
+        got = first_connection_time((0, 0), surface, window, seed)
         want = _brute_force_bottleneck((0, 0), surface, window, seed, T_C)
         assert got == want
 
@@ -221,7 +221,7 @@ def test_first_connection_single_site_path():
     window = window_for_rhombus((0, 0), 1, PHI, True)
     for i in range(50):
         seed = clocks.derive_seed(31, i)
-        got = first_connection_time((0, 0), surface, window, seed, t_max=T_C)
+        got = first_connection_time((0, 0), surface, window, seed)
         arrivals = {y: clocks.first_arrival_value(seed, y)
                     for y in neighbors((0, 0)) if y[1] >= 0}
         from firelab.percolation import target_mask
@@ -238,7 +238,7 @@ def test_first_connection_minimality():
     checked = 0
     for i in range(200):
         seed = clocks.derive_seed(37, i)
-        t = first_connection_time((0, 0), surface, window, seed, t_max=T_C)
+        t = first_connection_time((0, 0), surface, window, seed)
         if t is None:
             continue
         arrivals = clocks.first_arrival_grid(seed, window)
@@ -341,7 +341,7 @@ def test_ladder_query_thresholds_match_full_snapshot(where, monkeypatch):
             times = _start_cluster_times(center, surface, window, arrivals, half)
             picks = [float(times[j]) for j in
                      np.linspace(0, times.size - 1, min(times.size, 8)).astype(int)]
-            t_first = first_connection_time(center, surface, window, seed, T_C, half)
+            t_first = first_connection_time(center, surface, window, seed, half)
             if t_first is not None:
                 picks.append(t_first)
             picks += [slice_time, T_C]
