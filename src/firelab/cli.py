@@ -107,8 +107,8 @@ class RunConfig:
             raise ConfigError("delta must lie in (0, 1/12)")
         if not self.n_list or any(n < 1 for n in self.n_list):
             raise ConfigError("n_list must be nonempty positive integers")
-        if any(t >= T_C for t in self.t_list):
-            raise ConfigError("t_list values must be < t_c")
+        if not all(0.0 <= t < T_C for t in self.t_list):
+            raise ConfigError("t_list values must lie in [0, t_c)")
         if self.region not in ("cone", "tube"):
             raise ConfigError("region must be cone or tube")
         if self.model not in ("exp", "n_exp"):

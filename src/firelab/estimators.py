@@ -28,6 +28,9 @@ largest float below s.  B, C and D are therefore threshold queries with no
 search for T: C is "connected just below t_slice", B is "j_last exists
 and w is connected just below j_last", and D is B and not C.  The coupled
 sampler asks them on one window ladder (``percolation._ladder_query``).
+The separate C and D estimators ask them of the full window's snapshot
+``arrivals < s``, a second path for the coupled counts; only the reference
+``percolation.first_connection_time`` searches for T.
 
 Sample-wise, A implies B, C implies the connection part of B, and
 (B and not C) equals D.
@@ -43,12 +46,11 @@ from scipy import stats
 from . import clocks, firesim, percolation
 from .clocks import T_C, derive_seed
 from .lattice import ConeRegion, RhombusSurface, Site, TubeRegion, Window
+# first_connection_time is unused here; perfbench's tracing test reads it.
 from .percolation import (
-    BELOW_FLOOR,
     first_connection_time,
     is_connected,
     one_arm_indicators,
-    sample_configuration,
     window_for_rhombus,
 )
 
@@ -354,10 +356,16 @@ def _before(s: float) -> float:
     return math.nextafter(s, -math.inf)
 
 
+def _connected_before(seed: int, params: EventParams):
+    """``connected_before(s)``: T < s, as ``is_connected`` on the snapshot
+    ``arrivals < s`` of the full window, which is hashed once."""
+    window, surface = params.window(), params.surface()
+    arrivals = clocks.first_arrival_grid(seed, window)
+    return lambda s: is_connected(params.w_site, surface, window, arrivals < s)
+
+
 def _sample_event_c(seed: int, params: EventParams) -> bool:
-    window = params.window()
-    occ = sample_configuration(window, _before(params.slice_time), seed)
-    return is_connected(params.w_site, params.surface(), window, occ)
+    return _connected_before(seed, params)(params.slice_time)
 
 
 def estimate_event_C(params: EventParams, samples: int, base_seed: int,
@@ -369,18 +377,13 @@ def estimate_event_C(params: EventParams, samples: int, base_seed: int,
 
 
 def _sample_event_d(seed: int, params: EventParams) -> bool:
-    # A jump of w's clock in (t_slice, t_c] is necessary: with T >= t_slice,
-    # any jump in (T, t_c] lies there.  Checking it first skips the
-    # expensive connection computation on ~98% of samples at large n.
-    if not clocks.jumps_in(seed, params.w_site, params.slice_time, T_C):
+    # A jump in (T, t_c] with T >= t_slice is one in (t_slice, t_c] past T:
+    # j_last > T.  The clock check skips labelling on ~98% of large-n seeds.
+    jumps = clocks.jumps_in(seed, params.w_site, params.slice_time, T_C)
+    if not jumps:
         return False
-    res = first_connection_time(params.w_site, params.surface(), params.window(),
-                                seed, floor=params.slice_time)
-    if res is BELOW_FLOOR or res is None:
-        return False
-    if not res < T_C:
-        return False
-    return bool(clocks.jumps_in(seed, params.w_site, res, T_C))
+    connected_before = _connected_before(seed, params)
+    return connected_before(jumps[-1]) and not connected_before(params.slice_time)
 
 
 def estimate_event_D(params: EventParams, samples: int, base_seed: int,

@@ -136,19 +136,17 @@ def is_connected(w: Site, target, window: Window, occ: np.ndarray,
     return _connects(occ, *_query(w, target, window, half_plane))
 
 
-BELOW_FLOOR = object()  # sentinel: connection already present at the floor time
-
-
 def first_connection_time(w: Site, target, window: Window, seed: int,
-                          half_plane: bool = True, floor: float = 0.0):
+                          half_plane: bool = True):
     """Minimal t <= t_c at which ``is_connected`` holds; None otherwise.
 
-    With ``floor > 0`` the answer is coarse below the floor: BELOW_FLOOR
-    when the connection already holds at time ``floor``.
-
-    The growth process only adds sites, so the connection is monotone in t
-    and first holds at a first-arrival time.  A bisection over the distinct
-    arrivals in (floor, t_c] finds it, labelling one snapshot per probe.
+    The reference: ``verify``'s first-connection oracle
+    (``invariants.connection_failures``) checks it, and the tests check the
+    estimators' threshold queries, which ask "T < s?" of one snapshot,
+    against it; no estimator calls it.  The growth process only adds
+    sites, so the connection is monotone in t and first holds at a
+    first-arrival time.  A bisection over the distinct arrivals up to t_c
+    finds it, labelling one snapshot per probe.
     """
     starts, tmask = _query(w, target, window, half_plane)
     arrivals = clocks.first_arrival_grid(seed, window)
@@ -158,9 +156,7 @@ def first_connection_time(w: Site, target, window: Window, seed: int,
 
     if not holds(T_C):
         return None
-    if floor > 0.0 and holds(floor):
-        return BELOW_FLOOR
-    times = np.unique(arrivals[(arrivals > floor) & (arrivals <= T_C)])
+    times = np.unique(arrivals[arrivals <= T_C])
     lo, hi = 0, times.size - 1  # holds(times[hi]); not holds below times[lo]
     while lo < hi:
         mid = (lo + hi) // 2

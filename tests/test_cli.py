@@ -100,6 +100,10 @@ def test_simulate_rejects_t_end_beyond_cap(tmp_path, capsys):
     ["heights", "--width-factor", "inf"],
     ["events", "--x", "inf"],
     ["simulate", "--x", "nan"],
+    ["xiscan", "--synthetic", "--t-list", "nan,0.4,0.5,0.6"],
+    ["xiscan", "--synthetic", "--t-list", "0.4,0.5,inf"],
+    ["xiscan", "--synthetic", "--t-list=-5,-3,-1"],
+    ["xiscan", "--t-list=-0.1,0.4,0.5"],
 ])
 def test_rejects_degenerate_width_factor_and_non_finite_x(tmp_path, capsys, args):
     out = tmp_path / "x"

@@ -238,10 +238,9 @@ def test_event_d_upper_bound_and_y_inequality():
 def event_d_components(params, seed):
     """The two independent factors of the D upper bound: connection time in
     the slice window, and a jump of w's clock inside the slice."""
-    res = percolation.first_connection_time(params.w_site, params.surface(),
-                                            params.window(), seed,
-                                            floor=params.slice_time)
-    conn = res is not percolation.BELOW_FLOOR and res is not None and res < T_C
+    t = percolation.first_connection_time(params.w_site, params.surface(),
+                                          params.window(), seed)
+    conn = t is not None and params.slice_time < t < T_C
     clock = bool(clocks.jumps_in(seed, params.w_site, params.slice_time, T_C))
     return conn, clock
 
@@ -302,6 +301,8 @@ def test_coupled_sampler_matches_bisection_reference(n, include_a):
         seed = clocks.derive_seed(1212, 1000 * n + i)
         want = _bisection_reference(seed, params, include_a)
         assert estimators._sample_coupled(seed, params, include_a) == want, i
+        assert estimators._sample_event_c(seed, params) == want[2], i
+        assert estimators._sample_event_d(seed, params) == want[3], i
         jumps = clocks.jumps_in(seed, params.w_site, 0.0, T_C)
         kinds.add("no jump" if not jumps else
                   "late jump" if jumps[-1] > params.slice_time else "early jump")
@@ -312,8 +313,8 @@ def test_coupled_sampler_matches_bisection_reference(n, include_a):
 def test_coupled_sampler_ties_follow_strict_convention(monkeypatch):
     # T is an arrival time, so it equals t_slice, j_last or t_c only by
     # construction: each is set to T in turn, where the strict comparisons
-    # of the definitions say "not yet connected".  The separate C sampler
-    # follows the same convention.
+    # of the definitions say "not yet connected".  The separate C and D
+    # samplers follow the same convention.
     params = EventParams(8)
     tied = []
     for i in range(200):
@@ -329,7 +330,8 @@ def test_coupled_sampler_ties_follow_strict_convention(monkeypatch):
             want = _bisection_reference(seed, params, False)
             assert not want[2]
             assert estimators._sample_coupled(seed, params, False) == want
-            assert not estimators._sample_event_c(seed, params)
+            assert estimators._sample_event_c(seed, params) == want[2]
+            assert estimators._sample_event_d(seed, params) == want[3]
         with monkeypatch.context() as m:
             m.setattr(clocks, "jumps_in", lambda *args, t=t: [t])
             want = _bisection_reference(seed, params, False)
