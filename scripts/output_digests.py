@@ -31,6 +31,14 @@ COMMANDS = (
     ("xiscan", "--samples-per-n", "300"),
     ("verify", "--seed", "6", "--verify-runs", "12"),
     ("verify", "--seed", "6", "--verify-runs", "12", "--corrupt-streams"),
+    ("events", "--n-list", "8,12", "--no-events-a", "--delta", "0.05",
+     "--x", "1.5"),
+    ("onearm", "--seed", "4", "--samples", "200", "--n-list", "4,8",
+     "--t", "0.65", "--phi", "0.8"),
+    ("simulate", "--window-width", "16", "--window-height", "10",
+     "--t-end", "0.5"),
+    ("heights", "--region", "tube", "--phi", "1.2", "--heights-list", "8,12",
+     "--samples", "60"),
 )
 
 

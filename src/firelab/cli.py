@@ -23,7 +23,8 @@ import shutil
 import sys
 import tempfile
 import traceback
-from dataclasses import dataclass
+import typing
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from multiprocessing import Pool
 from pathlib import Path
@@ -48,26 +49,35 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
-    """Flat configuration; the single serialized source of truth."""
+    """Flat configuration; the single serialized source of truth.
 
-    seed: int = 1
-    threads: int = 0  # 0: use FIRELAB_THREADS or 1
-    out: str = "firelab-out"
+    Each field is a config-file key and a ``--name-with-dashes`` flag; its
+    annotation says how ``_parse_value`` reads the value's text, and a
+    ``help`` entry in its metadata becomes the flag's help text.
+    """
+
+    seed: int = field(default=1, metadata={"help": "run seed (u64)"})
+    threads: int = field(default=0, metadata={  # 0: FIRELAB_THREADS or 1
+        "help": "worker processes (FIRELAB_THREADS fallback)"})
+    out: str = field(default="firelab-out", metadata={"help": "output directory"})
     window_width: int = 48   # half-width: window spans k in [-w, w]
     window_height: int = 24  # rows l in [0, h]
     t_end: float = T_C
     t: float = T_C           # one-arm sampling time
     x: float = 0.0
-    phi: float = math.pi / 3
-    delta: float = 1.0 / 24.0
-    n_list: tuple = (8, 16, 32, 64)
-    t_list: tuple = (T_C - 0.30, T_C - 0.22, T_C - 0.15, T_C - 0.10)
+    phi: float = estimators.DEFAULT_PHI
+    delta: float = estimators.DEFAULT_DELTA
+    n_list: tuple[int, ...] = field(default=(8, 16, 32, 64), metadata={
+        "help": "comma-separated rhombus sizes"})
+    t_list: tuple[float, ...] = field(
+        default=(T_C - 0.30, T_C - 0.22, T_C - 0.15, T_C - 0.10),
+        metadata={"help": "comma-separated times"})
     samples: int = 1000
     samples_per_n: int = 2000
     half_plane: bool = True
     region: str = "cone"     # cone | tube
     model: str = "n_exp"
-    heights_list: tuple = (24, 48)
+    heights_list: tuple[int, ...] = (24, 48)
     width_factor: float = 3.0
     synthetic: bool = False
     events_include_a: bool = True
@@ -101,12 +111,14 @@ class RunConfig:
             raise ConfigError("x must be finite")
         if self.window_width < 2 or self.window_height < 2:
             raise ConfigError("window dimensions must be >= 2")
-        if not 0.0 < self.phi < math.pi / 2:
-            raise ConfigError("phi must lie in (0, pi/2)")
-        if not 0.0 < self.delta < 1.0 / 12.0:
-            raise ConfigError("delta must lie in (0, 1/12)")
+        try:
+            estimators.check_phi_delta(self.phi, self.delta)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if not self.n_list or any(n < 1 for n in self.n_list):
             raise ConfigError("n_list must be nonempty positive integers")
+        if len(self.t_list) < 3:
+            raise ConfigError("t_list needs at least 3 times")
         if not all(0.0 <= t < T_C for t in self.t_list):
             raise ConfigError("t_list values must lie in [0, t_c)")
         if self.region not in ("cone", "tube"):
@@ -132,14 +144,14 @@ class RunConfig:
         return TubeRegion(self.x, self.phi)
 
 
-_LIST_FIELDS = {"n_list": int, "t_list": float, "heights_list": int}
-_BOOL_FIELDS = {"half_plane", "synthetic", "events_include_a", "corrupt_streams"}
+_FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
+_BOOLS = {"true": True, "1": True, "yes": True, "on": True,
+          "false": False, "0": False, "no": False, "off": False}
 
 
 def parse_config_text(text: str) -> dict:
     """Parse ``key = value`` lines; '#' starts a comment."""
     values: dict = {}
-    fields = {f.name: f for f in dataclasses.fields(RunConfig)}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -148,34 +160,25 @@ def parse_config_text(text: str) -> dict:
             raise ConfigError(f"line {lineno}: expected 'key = value'")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key not in fields:
+        if key not in _FIELDS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         values[key] = _parse_value(key, val)
     return values
 
 
 def _parse_value(key: str, val: str):
-    if key in _LIST_FIELDS:
-        conv = _LIST_FIELDS[key]
-        try:
-            return tuple(conv(part.strip()) for part in val.split(",") if part.strip())
-        except ValueError as exc:
-            raise ConfigError(f"bad list for {key}: {val!r}") from exc
-    if key in _BOOL_FIELDS:
-        low = val.lower()
-        if low in ("true", "1", "yes", "on"):
-            return True
-        if low in ("false", "0", "no", "off"):
-            return False
-        raise ConfigError(f"bad boolean for {key}: {val!r}")
-    target = RunConfig.__dataclass_fields__[key].type
+    """Read the text of a config line or a flag by the annotation of
+    RunConfig's field ``key``: a scalar type, or ``tuple[T, ...]`` written
+    as comma-separated values."""
+    kind = _FIELDS[key].type
     try:
-        if target in (int, "int"):
-            return int(val)
-        if target in (float, "float"):
-            return float(val)
-        return val
-    except ValueError as exc:
+        if kind is bool:
+            return _BOOLS[val.lower()]
+        if kind in (int, float, str):
+            return kind(val)
+        (item, _) = typing.get_args(kind)
+        return tuple(item(part.strip()) for part in val.split(",") if part.strip())
+    except (KeyError, ValueError) as exc:
         raise ConfigError(f"bad value for {key}: {val!r}") from exc
 
 
@@ -402,8 +405,10 @@ def cmd_events(config: RunConfig, pool_map) -> int:
     d_points = []
     violations = {"A=>B": 0, "C=>B": 0, "B&!C=>D": 0}
     per_n = []
-    for i, n in enumerate(config.n_list):
-        params = EventParams(n, config.x, config.phi, config.delta)
+    # Every n's parameters are checked before the first sample is drawn.
+    all_params = [EventParams(n, config.x, config.phi, config.delta)
+                  for n in config.n_list]
+    for i, (n, params) in enumerate(zip(config.n_list, all_params)):
         stats = estimators.coupled_event_stats(
             params, config.samples, clocks.derive_seed(config.seed, 9000 + i),
             include_a=config.events_include_a, pool_map=pool_map)
@@ -529,64 +534,32 @@ def cmd_verify(config: RunConfig) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One ``--name-with-dashes`` flag per RunConfig field, for every command
+    but ``defaults``; a flag keeps its value's text for ``_parse_value``, and
+    a bare boolean flag means true."""
     parser = argparse.ArgumentParser(
         prog="firelab",
         description="Forest-fire simulation and percolation estimators on the "
                     "half-plane triangular lattice")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--config", type=str, default=None, help="config file path")
-        p.add_argument("--seed", type=int, default=None, help="run seed (u64)")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker processes (FIRELAB_THREADS fallback)")
-        p.add_argument("--out", type=str, default=None, help="output directory")
-        p.add_argument("--samples", type=int, default=None)
-        p.add_argument("--n-list", dest="n_list", type=str, default=None,
-                       help="comma-separated rhombus sizes")
-        p.add_argument("--t-list", dest="t_list", type=str, default=None,
-                       help="comma-separated times")
-        p.add_argument("--phi", type=float, default=None)
-        p.add_argument("--x", type=float, default=None)
-        p.add_argument("--delta", type=float, default=None)
-        p.add_argument("--t-end", dest="t_end", type=float, default=None)
-        p.add_argument("--t", type=float, default=None)
-        p.add_argument("--half-plane", dest="half_plane", type=str, default=None)
-        p.add_argument("--model", type=str, default=None)
-        p.add_argument("--region", type=str, default=None)
-        p.add_argument("--heights-list", dest="heights_list", type=str, default=None)
-        p.add_argument("--width-factor", dest="width_factor", type=float, default=None)
-        p.add_argument("--samples-per-n", dest="samples_per_n", type=int, default=None)
-        p.add_argument("--window-width", dest="window_width", type=int, default=None)
-        p.add_argument("--window-height", dest="window_height", type=int, default=None)
-        p.add_argument("--synthetic", action="store_const", const=True, default=None)
-        p.add_argument("--corrupt-streams", dest="corrupt_streams",
-                       action="store_const", const=True, default=None)
-        p.add_argument("--verify-runs", dest="verify_runs", type=int, default=None)
-        p.add_argument("--no-events-a", dest="events_include_a",
-                       action="store_const", const=False, default=None)
-
     for name in ("simulate", "onearm", "xiscan", "events", "heights", "verify"):
-        common(sub.add_parser(name))
+        p = sub.add_parser(name)
+        p.add_argument("--config", default=None, help="config file path")
+        for f in _FIELDS.values():
+            bare = {"nargs": "?", "const": "true"} if f.type is bool else {}
+            p.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
+                           default=None, help=f.metadata.get("help"), **bare)
+        p.add_argument("--no-events-a", dest="events_include_a",
+                       action="store_const", const="false",
+                       help="alias of --events-include-a false")
     sub.add_parser("defaults")
     return parser
 
 
 def _overrides_from_args(args) -> dict:
-    out = {}
-    for f in dataclasses.fields(RunConfig):
-        if not hasattr(args, f.name):
-            continue
-        v = getattr(args, f.name)
-        if v is None:
-            continue
-        if f.name in _LIST_FIELDS and isinstance(v, str):
-            v = _parse_value(f.name, v)
-        if f.name in _BOOL_FIELDS and isinstance(v, str):
-            v = _parse_value(f.name, v)
-        out[f.name] = v
-    return out
+    return {name: _parse_value(name, getattr(args, name))
+            for name in _FIELDS if getattr(args, name, None) is not None}
 
 
 def main(argv=None) -> int:

@@ -56,10 +56,20 @@ from .percolation import (
 
 DEFAULT_PHI = math.pi / 3
 DEFAULT_DELTA = 1.0 / 24.0
+
 # Intervals and slope CIs are at 95%: the normal quantile of the Wilson
 # interval, and the two-sided level of the fits' t intervals.
 Z_95 = 1.959963984540054
 ALPHA = 0.05
+
+
+def check_phi_delta(phi: float, delta: float) -> None:
+    """Raise ValueError unless the cone angle phi lies in (0, pi/2) and the
+    slice exponent delta in (0, 1/12)."""
+    if not 0.0 < delta < 1.0 / 12.0:
+        raise ValueError("delta must lie in (0, 1/12)")
+    if not 0.0 < phi < math.pi / 2:
+        raise ValueError("phi must lie in (0, pi/2)")
 
 
 class FitError(RuntimeError):
@@ -75,10 +85,6 @@ class EstimateResult:
     ci_low: float
     ci_high: float
     successes: int
-
-    def se(self) -> float:
-        p = self.point
-        return math.sqrt(max(p * (1.0 - p), 1e-12) / self.n_samples)
 
 
 def wilson_interval(successes: int, n: int) -> tuple[float, float]:
@@ -325,10 +331,7 @@ class EventParams:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        if not 0.0 < self.delta < 1.0 / 12.0:
-            raise ValueError("delta must lie in (0, 1/12)")
-        if not 0.0 < self.phi < math.pi / 2:
-            raise ValueError("phi must lie in (0, pi/2)")
+        check_phi_delta(self.phi, self.delta)
         if not self.slice_time > 0.0:
             raise ValueError(
                 f"n={self.n} too small: t_c - n^(-3/4+delta) must be positive")

@@ -38,16 +38,6 @@ class WindowTooSmallError(ValueError):
     """The window does not cover the target geometry plus padding."""
 
 
-def sample_configuration(window: Window, t: float, seed: int) -> np.ndarray:
-    """Deterministic growth snapshot at time t under a run seed, as the
-    boolean occupancy grid of a half-plane window."""
-    if t < 0.0:
-        raise ValueError("time must be >= 0")
-    if window.l_min < 0:
-        raise ValueError("half-plane window must not reach below l = 0")
-    return clocks.first_arrival_grid(seed, window) <= t
-
-
 def check_window(window: Window, target, half_plane: bool) -> None:
     """Raise :class:`WindowTooSmallError` unless the window extends at least
     PAD sites beyond the dist-1 band of the target geometry, and, for a

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -54,6 +55,60 @@ def test_parse_config_types(tmp_path):
     assert config.seed == 11 and config.n_list == (2, 4, 8)
 
 
+# A valid value other than the default for every RunConfig field, as text.
+NON_DEFAULT = {
+    "seed": "5", "threads": "2", "out": "elsewhere", "window_width": "16",
+    "window_height": "10", "t_end": "0.5", "t": "0.6", "x": "1.5",
+    "phi": "0.8", "delta": "0.05", "n_list": "3,5", "t_list": "0.1,0.2,0.3",
+    "samples": "7", "samples_per_n": "9", "half_plane": "false",
+    "region": "tube", "model": "exp", "heights_list": "6,8",
+    "width_factor": "2.5", "synthetic": "true", "events_include_a": "false",
+    "verify_runs": "12", "corrupt_streams": "true",
+}
+
+
+def flag_config(*flags) -> RunConfig:
+    args = cli.build_parser().parse_args(["onearm", *flags])
+    return load_config(None, cli._overrides_from_args(args))
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(RunConfig)])
+def test_flag_and_config_line_load_alike(tmp_path, name):
+    text = NON_DEFAULT[name]
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"{name} = {text}\n")
+    from_file = load_config(str(cfg), {})
+    assert getattr(from_file, name) != getattr(RunConfig(), name)
+    assert flag_config("--" + name.replace("_", "-"), text) == from_file
+
+
+@pytest.mark.parametrize("flags, expected", [
+    (["--synthetic"], {"synthetic": True}),
+    (["--corrupt-streams"], {"corrupt_streams": True}),
+    (["--no-events-a"], {"events_include_a": False}),
+    (["--half-plane", "false"], {"half_plane": False}),
+    (["--half-plane", "ON"], {"half_plane": True}),
+    (["--synthetic", "--t-list=0.1,0.2,0.3"],
+     {"synthetic": True, "t_list": (0.1, 0.2, 0.3)}),
+    (["--x", "-1.5", "--t-end", "0.5", "--t", "0.6"],
+     {"x": -1.5, "t_end": 0.5, "t": 0.6}),
+    (["--seed", "2", "--samples", "200", "--n-list", "3,5,8", "--t", "0.6",
+      "--half-plane", "false"],
+     {"seed": 2, "samples": 200, "n_list": (3, 5, 8), "t": 0.6,
+      "half_plane": False}),
+    (["--region", "tube", "--heights-list", "8, 12", "--width-factor", "2",
+      "--phi", "1.2", "--delta", "0.05", "--model", "exp"],
+     {"region": "tube", "heights_list": (8, 12), "width_factor": 2.0,
+      "phi": 1.2, "delta": 0.05, "model": "exp"}),
+    (["--threads", "2", "--samples-per-n", "300", "--verify-runs", "12",
+      "--window-width", "16", "--window-height", "10", "--out", "run"],
+     {"threads": 2, "samples_per_n": 300, "verify_runs": 12,
+      "window_width": 16, "window_height": 10, "out": "run"}),
+])
+def test_flag_spellings(flags, expected):
+    assert flag_config(*flags) == RunConfig(**expected)
+
+
 def test_invalid_config_produces_no_output(tmp_path):
     out = tmp_path / "run"
     code = cli.main(["simulate", "--out", str(out), "--t-end", "0.9"])
@@ -104,6 +159,8 @@ def test_simulate_rejects_t_end_beyond_cap(tmp_path, capsys):
     ["xiscan", "--synthetic", "--t-list", "0.4,0.5,inf"],
     ["xiscan", "--synthetic", "--t-list=-5,-3,-1"],
     ["xiscan", "--t-list=-0.1,0.4,0.5"],
+    ["xiscan", "--synthetic", "--t-list="],
+    ["xiscan", "--synthetic", "--t-list", "0.5"],
 ])
 def test_rejects_degenerate_width_factor_and_non_finite_x(tmp_path, capsys, args):
     out = tmp_path / "x"
@@ -165,6 +222,19 @@ def test_events_reports_zero_violations(tmp_path):
     assert report["violations"]["B&!C=>D"] == 0
     rows = (out / "events.csv").read_text().splitlines()
     assert rows[0] == "n,A,B,C,D,samples"
+
+
+def test_events_checks_every_n_before_sampling(tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(cli.estimators, "coupled_event_stats",
+                        lambda *args, **kwargs: calls.append(args))
+    out = tmp_path / "ev"
+    code = cli.main(["events", "--n-list", "64,1", "--samples", "5",
+                     "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert calls == []
+    assert "n=1 too small" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_heights_summary(tmp_path):

@@ -231,8 +231,12 @@ def test_event_d_upper_bound_and_y_inequality():
     clock_factor = 1.0 - math.exp(-gap)
     assert clock_factor <= gap  # 1 - e^{-y} <= y
     bound = one_arm.point * clock_factor
-    se = 3.0 * (d.se() + one_arm.se() * clock_factor)
-    assert d.point <= bound + se
+
+    def se(est):
+        p = est.point
+        return math.sqrt(max(p * (1.0 - p), 1e-12) / est.n_samples)
+
+    assert d.point <= bound + 3.0 * (se(d) + se(one_arm) * clock_factor)
 
 
 def event_d_components(params, seed):

@@ -15,7 +15,6 @@ from firelab.percolation import (
     first_connection_time,
     is_connected,
     one_arm_indicator,
-    sample_configuration,
     window_for_rhombus,
 )
 
@@ -30,41 +29,38 @@ def hand_config(window, occupied_sites):
 
 
 def test_configuration_t_zero_all_vacant():
-    occ = sample_configuration(Window(-20, 20, 0, 20), 0.0, 404)
+    occ = clocks.first_arrival_grid(404, Window(-20, 20, 0, 20)) <= 0.0
     assert occ.mean() == 0.0
 
 
 def test_configuration_density_at_tc():
-    occ = sample_configuration(Window(-200, 199, 0, 249), T_C, 11)
+    occ = clocks.first_arrival_grid(11, Window(-200, 199, 0, 249)) <= T_C
     assert abs(occ.mean() - 0.5) < 0.005
 
 
 def test_configuration_density_log4():
-    occ = sample_configuration(Window(-200, 199, 0, 249), math.log(4.0), 12)
+    occ = clocks.first_arrival_grid(12, Window(-200, 199, 0, 249)) <= math.log(4.0)
     assert abs(occ.mean() - 0.75) < 0.005
 
 
 def test_monotone_coupling_in_time():
     window = Window(-30, 30, 0, 30)
-    occ1 = sample_configuration(window, 0.3, 99)
-    occ2 = sample_configuration(window, 0.6, 99)
+    occ1 = clocks.first_arrival_grid(99, window) <= 0.3
+    occ2 = clocks.first_arrival_grid(99, window) <= 0.6
     assert not (occ1 & ~occ2).any()
 
 
 def test_half_plane_window_above_row_zero():
-    # sample_configuration accepts every half-plane window check_window
-    # accepts: those with no row below l = 0.
     center = (0, 20)
     surface = RhombusSurface(center, 4, PHI)
     window = window_for_rhombus(center, 4, PHI, True)
     assert window == Window(-13, 19, 12, 28)
     t = first_connection_time(center, surface, window, seed=5)
     assert t == 0.2864108264024276
-    assert is_connected(center, surface, window, sample_configuration(window, t, 5))
-    below = sample_configuration(window, math.nextafter(t, 0.0), 5)
-    assert not is_connected(center, surface, window, below)
-    with pytest.raises(ValueError):
-        sample_configuration(Window(-13, 19, -1, 28), t, 5)
+    arrivals = clocks.first_arrival_grid(5, window)
+    assert is_connected(center, surface, window, arrivals <= t)
+    assert not is_connected(center, surface, window,
+                            arrivals <= math.nextafter(t, 0.0))
 
 
 def test_is_connected_all_vacant():
