@@ -11,6 +11,9 @@ first alternates from pair to pair, so a drift in machine speed does not
 favour one side.  The output file holds every run's end-to-end metrics and
 result checks with perfbench's report of the environment, each side's
 median and quartiles per metric, and the pairs the change wins on each.
+After the pairs, the test suite (Tier-1) runs once in the change checkout,
+and its ``tier1`` block records the command, the passed and failed counts,
+the wall time and the TIER1_SLOWEST slowest test calls.
 With ``--workload all`` one run covers every workload in one interpreter
 and the metrics are keyed ``workload.metric``, as perfbench prints them;
 ``peak_rss_mb`` is then the process's peak so far, not one workload's.
@@ -19,7 +22,9 @@ and the metrics are keyed ``workload.metric``, as perfbench prints them;
 import argparse
 import hashlib
 import json
+import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -28,6 +33,9 @@ from pathlib import Path
 
 # perfbench's end-to-end metrics and which way is better.
 HIGHER_IS_BETTER = {"samples_per_s_norm": True, "setup_s": False, "peak_rss_mb": False}
+TIER1_SLOWEST = 15
+TIER1_ARGS = ("-m", "pytest", "-v", "-rA", "--continue-on-collection-errors",
+              f"--durations={TIER1_SLOWEST}")
 
 
 def run_once(checkout: Path, workload: str, seed: int) -> dict:
@@ -49,6 +57,29 @@ def run_once(checkout: Path, workload: str, seed: int) -> dict:
             "failed": result["failed"],
             "metrics": {k: m["value"] for k, m in result["metrics"].items()},
             "environment": env}
+
+
+def run_tier1(checkout: Path) -> dict:
+    """One Tier-1 run in the checkout: its counts (a collection error
+    counts as failed), wall time and slowest test calls (pytest's
+    ``--durations`` report)."""
+    env = dict(os.environ, PYTHONPATH="src")
+    t0 = time.monotonic()
+    proc = subprocess.run([sys.executable, *TIER1_ARGS], cwd=checkout, env=env,
+                          capture_output=True, text=True)
+    wall = time.monotonic() - t0
+    lines = proc.stdout.strip().splitlines()
+    counts = {word.rstrip("s"): int(num) for num, word in
+              re.findall(r"(\d+) (passed|failed|errors?)", lines[-1] if lines else "")}
+    slowest = {}
+    for line in lines:
+        m = re.match(r"([\d.]+)s call\s+(\S+)$", line)
+        if m:
+            slowest[m[2]] = float(m[1])
+    return {"command": "PYTHONPATH=src python " + " ".join(TIER1_ARGS),
+            "code": "change", "passed": counts.get("passed", 0),
+            "failed": counts.get("failed", 0) + counts.get("error", 0),
+            "wall_s": round(wall, 2), "slowest_s": slowest}
 
 
 def source_digest(checkout: Path) -> str:
@@ -104,15 +135,20 @@ def main(argv=None) -> int:
                   + " ".join(f"{k}={v:.4g}" for k, v in res["metrics"].items())
                   + f" failed={res['failed']}", flush=True)
 
+    tier1 = run_tier1(sides["change"])
     out = {"workload": args.workload, "pairs": args.pairs, "first_seed": args.seed,
            "source_sha256": {k: source_digest(v) for k, v in sides.items()},
-           "platform": platform.platform(), "summary": summarise(runs), "runs": runs}
+           "platform": platform.platform(), "summary": summarise(runs), "runs": runs,
+           "tier1": tier1}
     args.out.write_text(json.dumps(out, indent=1) + "\n", encoding="utf-8")
     for metric, s in out["summary"].items():
         print(f"{metric}: median {s['base']['median']:.4g} -> {s['change']['median']:.4g} "
               f"(x{s['median_ratio']:.3f}, base IQR {s['base_iqr']:.3g}), "
               f"change better in {s['change_wins']} pairs")
-    return 0 if all(r["failed"] == 0 for side in runs.values() for r in side) else 1
+    print(f"tier1: {tier1['passed']} passed, {tier1['failed']} failed "
+          f"in {tier1['wall_s']} s")
+    ok = tier1["failed"] == 0 and all(r["failed"] == 0 for side in runs.values() for r in side)
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -454,7 +454,7 @@ def cmd_heights(config: RunConfig, pool_map) -> int:
         for i, (h, ok) in enumerate(zip(dist.heights, dist.certified)):
             rows.append((dist.window_height, i, float(h), int(ok)))
         # The t_c cell rule's statistics pool the lower bounds of the
-        # uncertified samples; the brackets bound the distribution itself.
+        # uncertified samples; the brackets cover the records of the window's own run.
         summary.append({
             "window_height": dist.window_height,
             "samples": int(dist.heights.size),

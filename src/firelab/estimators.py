@@ -37,7 +37,7 @@ Sample-wise, A implies B, C implies the connection part of B, and
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -398,26 +398,16 @@ def estimate_event_D(params: EventParams, samples: int, base_seed: int,
 
 
 def event_a_window(params: EventParams) -> Window:
-    """Half-plane window covering the cone cross-section up to height 2n
-    and the w site."""
-    l_top = max(8, 2 * params.n)
-    cone = params.cone()
-    y_top = l_top * math.sqrt(3.0) / 2.0
-    x_lo = cone.apex_x - cone.half_width_at(y_top) - 3.0
-    x_hi = cone.apex_x + cone.half_width_at(y_top) + 3.0
-    k_lo = math.floor(x_lo - 0.5 * l_top)
-    k_hi = max(math.ceil(x_hi), params.w_site[0] + params.n + 4)
-    return Window(k_lo, k_hi, 0, l_top)
-
-
-def sample_event_a(seed: int, params: EventParams) -> bool:
-    """One fire-process sample of the cone-connection event, read off the
-    destruction records of a run up to the last jump of w's clock."""
-    return _event_a(seed, params, clocks.jumps_in(seed, params.w_site, 0.0, T_C))
+    """The cone's window up to row max(8, 2n), widened to column
+    k_w + n + 4 to hold the w site."""
+    win = percolation.window_for_cone(params.cone(), max(8, 2 * params.n))
+    return replace(win, k_max=max(win.k_max, params.w_site[0] + params.n + 4))
 
 
 def _event_a(seed: int, params: EventParams, jumps: list[float]) -> bool:
-    """``sample_event_a`` given w's clock jumps in (0, t_c]."""
+    """One fire-process sample of the cone-connection event given w's clock
+    jumps in (0, t_c], read off the destruction records of a run up to the
+    last of them."""
     w = params.w_site
     if not jumps:
         return False
@@ -442,8 +432,7 @@ class CoupledEventStats:
 
 
 def _sample_coupled(seed: int, params: EventParams, include_a: bool) -> tuple:
-    query = percolation._ladder_query(params.surface(), params.window(),
-                                      [seed], True)
+    query = percolation._ladder_query(params.surface(), [seed], True)
 
     def connected(t: float) -> bool:
         return bool(query(t)[0])
@@ -467,7 +456,12 @@ def _sample_coupled(seed: int, params: EventParams, include_a: bool) -> tuple:
 
 def coupled_event_stats(params: EventParams, samples: int, base_seed: int,
                         include_a: bool = True, pool_map=None) -> CoupledEventStats:
-    """Evaluate A, B, C, D on common seeds and count implication failures."""
+    """Evaluate A, B, C, D on common seeds and count implication failures.
+
+    Only ``A=>B`` can fail: C is set only when w connects before t_c, and D
+    is B and not C.  ``test_coupled_counts_match_separate_estimators`` and
+    the benchmark's events-coupled oracle cross-check C and D.
+    """
     seeds = [derive_seed(base_seed, i) for i in range(samples)]
     rows = _pmap(pool_map, partial(_sample_coupled, params=params,
                                    include_a=include_a), seeds)
@@ -540,8 +534,9 @@ class HeightDistribution:
     with the exact values.  ``lower`` and ``upper`` bracket each sample's
     destruction height inside the window
     (``firesim.height_bracket``); the ``bracket`` statistics take their
-    lower ends from ``lower`` and their upper ends from ``upper``, so they
-    bound the distribution itself.
+    lower ends from ``lower`` and their upper ends from ``upper``.  They
+    cover the records that the window's own run produces, not the
+    infinite-volume height (see the README's ``firelab heights``).
     """
 
     window_height: int

@@ -39,46 +39,34 @@ class WindowTooSmallError(ValueError):
 
 
 def check_window(window: Window, target, half_plane: bool) -> None:
-    """Raise :class:`WindowTooSmallError` unless the window extends at least
-    PAD sites beyond the dist-1 band of the target geometry, and, for a
+    """Raise :class:`WindowTooSmallError` unless the window contains the
+    target's own window, ``window_for_rhombus`` for a rhombus and
+    ``window_for_cone`` up to the window's top row for a cone, and, for a
     half-plane query, has no rows below l = 0."""
     if half_plane and window.l_min < 0:
         raise WindowTooSmallError(f"half-plane window {window} reaches below l = 0")
     if isinstance(target, RhombusSurface):
         need = window_for_rhombus(target.center, target.n, target.phi, half_plane)
-        if not (window.k_min <= need.k_min and need.k_max <= window.k_max
-                and window.l_min <= need.l_min and need.l_max <= window.l_max):
-            raise WindowTooSmallError(
-                f"window {window} too small for rhombus n={target.n} at {target.center}")
     elif isinstance(target, ConeRegion):
-        # Infinite region: require sideways coverage up to the window top.
-        margin = 1.0 + PAD
-        y_top = SQRT3_2 * window.l_max
-        half = target.half_width_at(y_top)
-        x0, x1 = target.apex_x - half, target.apex_x + half
-        k_lo = math.floor(x0 - margin - 0.5 * window.l_max)
-        k_hi = math.ceil(x1 + margin)
-        if window.k_min > k_lo or window.k_max < k_hi:
-            raise WindowTooSmallError(f"window {window} too narrow for cone {target}")
+        need = window_for_cone(target, window.l_max)
     else:
         raise TypeError(f"unsupported target {target!r}")
+    if not (window.k_min <= need.k_min and need.k_max <= window.k_max
+            and window.l_min <= need.l_min and need.l_max <= window.l_max):
+        raise WindowTooSmallError(f"window {window} too small for {target}")
 
 
 @lru_cache(maxsize=64)
-def _cached_target_mask(window: Window, target, half_plane: bool) -> np.ndarray:
-    if isinstance(target, RhombusSurface):
-        return near_surface_mask(window, target, half_plane)
-    if isinstance(target, ConeRegion):
-        return near_cone_mask(window, target)
-    raise TypeError(f"unsupported target {target!r}")
-
-
 def target_mask(window: Window, target, half_plane: bool) -> np.ndarray:
     """Grid mask of sites within distance 1 of the target region.
 
     Cached per (window, target); callers must treat the array as read-only.
     """
-    return _cached_target_mask(window, target, half_plane)
+    if isinstance(target, RhombusSurface):
+        return near_surface_mask(window, target, half_plane)
+    if isinstance(target, ConeRegion):
+        return near_cone_mask(window, target)
+    raise TypeError(f"unsupported target {target!r}")
 
 
 def _query(w: Site, target, window: Window, half_plane: bool):
@@ -173,6 +161,19 @@ def window_for_rhombus(center: Site, n: int, phi: float, half_plane: bool) -> Wi
     return Window(k_lo, k_hi, l_lo, l_hi)
 
 
+def window_for_cone(cone: ConeRegion, l_top: int) -> Window:
+    """Half-plane window of rows 0..l_top covering the cone's cross-section
+    at the top row, its dist-1 band and PAD extra sites on either side.
+    Keep the operation order: at phi = pi/3 the bounds sit on integers in
+    real arithmetic, and event A's counts were frozen on this order."""
+    y_top = l_top * math.sqrt(3.0) / 2.0
+    half = cone.half_width_at(y_top)
+    margin = 1.0 + PAD
+    k_lo = math.floor(cone.apex_x - half - margin - 0.5 * l_top)
+    k_hi = math.ceil(cone.apex_x + half + margin)
+    return Window(k_lo, k_hi, 0, l_top)
+
+
 def one_arm_indicators(n: int, t: float, phi: float, seeds,
                        half_plane: bool = True, engine: str = "auto") -> np.ndarray:
     """Bernoulli samples of the one-arm event for the origin, one per seed,
@@ -188,13 +189,11 @@ def one_arm_indicators(n: int, t: float, phi: float, seeds,
         raise ValueError("n must be >= 1")
     if t < 0.0:
         raise ValueError("time must be >= 0")
-    origin: Site = (0, 0)
-    surface = RhombusSurface(origin, n, phi)
-    window = window_for_rhombus(origin, n, phi, half_plane)
+    surface = RhombusSurface((0, 0), n, phi)
     if engine in ("auto", "grid"):
-        return _ladder_query(surface, window, seeds, half_plane)(t)
+        return _ladder_query(surface, seeds, half_plane)(t)
     if engine == "walk":
-        return np.array([_one_arm_walk(surface, window, t, seed, half_plane)
+        return np.array([_one_arm_walk(surface, t, seed, half_plane)
                          for seed in seeds], dtype=bool)
     raise ValueError(f"unknown engine {engine!r}")
 
@@ -217,11 +216,11 @@ MIN_RUNG = 4
 MAX_STACK_SITES = 1 << 18
 
 
-def _ladder_query(surface: RhombusSurface, window: Window, seeds,
-                  half_plane: bool):
+def _ladder_query(surface: RhombusSurface, seeds, half_plane: bool):
     """``connected(t)``: for each seed, ``is_connected`` for the rhombus
-    centre on the full window's snapshot at time t, as a bool array, each
-    decided on the smallest rung of a window ladder that settles it.
+    centre on the snapshot at time t of the full window,
+    ``window_for_rhombus`` of the surface, as a bool array, each decided on
+    the smallest rung of a window ladder that settles it.
 
     Rung m is ``window_for_rhombus(centre, m, ...)`` for m = n/4, n/16, ...
     >= MIN_RUNG, smallest first, then the full window; the rungs nest.  A
@@ -237,7 +236,7 @@ def _ladder_query(surface: RhombusSurface, window: Window, seeds,
     once, on first use, and keeps it; every threshold labels its own
     snapshot of it.
     """
-    rungs = _ladder(surface, window, half_plane)
+    rungs = _ladder(surface, half_plane)
     seeds = list(seeds)
     kept: dict[int, np.ndarray] = {}  # a one-seed query's grids, by rung
 
@@ -279,7 +278,7 @@ def _ladder_query(surface: RhombusSurface, window: Window, seeds,
 
 
 @lru_cache(maxsize=64)
-def _ladder(surface: RhombusSurface, window: Window, half_plane: bool) -> tuple:
+def _ladder(surface: RhombusSurface, half_plane: bool) -> tuple:
     """The rungs of a ladder query for the rhombus centre, smallest first.
 
     A rung is ``(window, starts, watched, n_band)``: the rung window, the
@@ -289,6 +288,7 @@ def _ladder(surface: RhombusSurface, window: Window, half_plane: bool) -> tuple:
     geometry; the arrays are read-only.
     """
     center = surface.center
+    window = window_for_rhombus(center, surface.n, surface.phi, half_plane)
     subs = [window]
     m = surface.n // RUNG_RATIO
     while m >= MIN_RUNG:
@@ -310,10 +310,11 @@ def _ladder(surface: RhombusSurface, window: Window, half_plane: bool) -> tuple:
     return tuple(rungs)
 
 
-def _one_arm_walk(surface: RhombusSurface, window: Window, t: float,
-                  seed: int, half_plane: bool) -> bool:
+def _one_arm_walk(surface: RhombusSurface, t: float, seed: int,
+                  half_plane: bool) -> bool:
     """Lazy cluster growth from the origin's neighborhood, stopping at the
     grid engine's target band."""
+    window = window_for_rhombus(surface.center, surface.n, surface.phi, half_plane)
     tmask = target_mask(window, surface, half_plane)
     occupied_cache: dict[Site, bool] = {}
 

@@ -6,6 +6,7 @@ the unit tests.
 """
 
 import hashlib
+import itertools
 import json
 import math
 from collections import Counter
@@ -197,9 +198,11 @@ def test_c8_cone_height_tightness_proxy():
 
 
 def test_c9_cli_determinism(tmp_path):
+    runs = itertools.count()
+
     def run_twice(args):
-        out1 = tmp_path / (args[0] + "1")
-        out2 = tmp_path / (args[0] + "2")
+        out1 = tmp_path / f"{args[0]}{next(runs)}"
+        out2 = tmp_path / f"{args[0]}{next(runs)}"
         assert cli.main(args + ["--out", str(out1)]) == 0
         assert cli.main(args + ["--out", str(out2)]) == 0
         d1 = json.loads((out1 / "manifest.json").read_text())["outputs"]
@@ -219,4 +222,6 @@ def test_c9_cli_determinism(tmp_path):
     run_twice(["heights", "--seed", "9", "--samples", "50",
                "--heights-list", "6,10"])
     run_twice(["xiscan", "--synthetic"])
+    run_twice(["xiscan", "--seed", "9", "--samples-per-n", "300"])
+    run_twice(["verify", "--seed", "9", "--verify-runs", "12"])
     _report("criterion 9", True, "all subcommands byte-identical on re-run")

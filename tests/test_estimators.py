@@ -19,7 +19,6 @@ from firelab.estimators import (
     height_distribution,
     linear_fit,
     make_estimate,
-    sample_event_a,
     scan_xi_exponent,
     wilson_interval,
     xi_from_fit,
@@ -277,6 +276,10 @@ def test_coupled_counts_match_separate_estimators():
     assert counts["B"] <= counts["C"] + counts["D"]
 
 
+def _sample_event_a(seed, params):
+    return estimators._event_a(seed, params, clocks.jumps_in(seed, params.w_site, 0.0, T_C))
+
+
 def _bisection_reference(seed, params, include_a):
     """The coupled events from w's first connection time T, found by
     bisection, compared with t_slice and j_last by strict inequality."""
@@ -289,7 +292,7 @@ def _bisection_reference(seed, params, include_a):
     c_ev = t is not None and t < params.slice_time
     b_ev = conn and j_last is not None and j_last > t
     d_ev = b_ev and t >= params.slice_time
-    a_ev = sample_event_a(seed, params) if include_a else False
+    a_ev = _sample_event_a(seed, params) if include_a else False
     return a_ev, b_ev, c_ev, d_ev, conn
 
 
@@ -355,10 +358,36 @@ def test_coupled_event_implications():
     assert stats.estimates["A"].point <= stats.estimates["B"].point
 
 
+def _frozen_event_a_window(params):
+    """Event A's window as it was written before ``window_for_cone``; the
+    A counts of c5 and perfbench's events-coupled reference ran on it."""
+    l_top = max(8, 2 * params.n)
+    cone = params.cone()
+    y_top = l_top * math.sqrt(3.0) / 2.0
+    x_lo = cone.apex_x - cone.half_width_at(y_top) - 3.0
+    x_hi = cone.apex_x + cone.half_width_at(y_top) + 3.0
+    k_lo = math.floor(x_lo - 0.5 * l_top)
+    k_hi = max(math.ceil(x_hi), params.w_site[0] + params.n + 4)
+    return Window(k_lo, k_hi, 0, l_top)
+
+
+def test_event_a_window_matches_frozen_formula():
+    # At phi = pi/3 the cone's half-width at row l is l/2 in real
+    # arithmetic, so the bounds fall on integers and one ulp decides a
+    # column; the window must not move on any of these cases.
+    for n in range(2, 600):
+        for x in (0.0, 0.5, -1.25, 1.5, 2.0, 7.3):
+            for phi in (PHI, 0.25, 0.8, 1.0, 1.2, 1.5):
+                params = EventParams(n, x, phi)
+                want = _frozen_event_a_window(params)
+                assert estimators.event_a_window(params) == want, (n, x, phi)
+                percolation.check_window(want, params.cone(), True)
+
+
 def test_event_a_deterministic_and_rare():
     params = EventParams(12)
-    vals = [sample_event_a(clocks.derive_seed(333, i), params) for i in range(300)]
-    vals2 = [sample_event_a(clocks.derive_seed(333, i), params) for i in range(300)]
+    vals = [_sample_event_a(clocks.derive_seed(333, i), params) for i in range(300)]
+    vals2 = [_sample_event_a(clocks.derive_seed(333, i), params) for i in range(300)]
     assert vals == vals2
     assert 0 <= sum(vals) < 100
 
@@ -384,7 +413,7 @@ def test_event_a_matches_snapshot_oracle():
                 if percolation.is_connected(w, cone, window, occ.astype(bool)):
                     expected = True
                     break
-        assert sample_event_a(seed, params) == expected, i
+        assert _sample_event_a(seed, params) == expected, i
         outcomes.append(expected)
     assert any(outcomes) and not all(outcomes)
 

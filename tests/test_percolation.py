@@ -8,13 +8,14 @@ import pytest
 from firelab import clocks, invariants, percolation
 from firelab.clocks import T_C
 from firelab.estimators import EventParams
-from firelab.lattice import RhombusSurface, Window, neighbors
+from firelab.lattice import ConeRegion, RhombusSurface, Window, neighbors
 from firelab.percolation import (
     WindowTooSmallError,
     check_window,
     first_connection_time,
     is_connected,
     one_arm_indicator,
+    window_for_cone,
     window_for_rhombus,
 )
 
@@ -105,6 +106,38 @@ def test_window_check_rejects_cut_rows():
     below = Window(-17, 15, -6, 8)
     with pytest.raises(WindowTooSmallError):
         first_connection_time((0, 0), surface, below, seed=clocks.derive_seed(9, 0))
+
+
+def _short_windows(window):
+    """The window one column short on the left, one short on the right, and
+    starting one row higher."""
+    k0, k1, l0, l1 = window.k_min, window.k_max, window.l_min, window.l_max
+    return [Window(k0 + 1, k1, l0, l1), Window(k0, k1 - 1, l0, l1),
+            Window(k0, k1, l0 + 1, l1)]
+
+
+@pytest.mark.parametrize("phi", [PHI, 0.25, 1.2])
+def test_window_check_takes_the_targets_own_window(phi):
+    # A query window must contain the target's own window: a rhombus's
+    # window_for_rhombus, a cone's window_for_cone up to the query's top
+    # row.  Each is accepted as it is and refused one column short on
+    # either side or starting a row above its own.
+    for n, half_plane in itertools.product((1, 4, 13), (True, False)):
+        surface = RhombusSurface((2, 3), n, phi)
+        window = window_for_rhombus((2, 3), n, phi, half_plane)
+        check_window(window, surface, half_plane)
+        for short in _short_windows(window):
+            with pytest.raises(WindowTooSmallError):
+                check_window(short, surface, half_plane)
+    for x, l_top in itertools.product((0.0, 2.5, -3.2), (1, 8, 17, 64)):
+        cone = ConeRegion(x, phi)
+        window = window_for_cone(cone, l_top)
+        assert (window.l_min, window.l_max) == (0, l_top)
+        for half_plane in (True, False):
+            check_window(window, cone, half_plane)
+            for short in _short_windows(window):
+                with pytest.raises(WindowTooSmallError):
+                    check_window(short, cone, half_plane)
 
 
 def _brute_force_connected(w, target, window, occ, half_plane=True):
@@ -326,7 +359,7 @@ def test_ladder_query_thresholds_match_full_snapshot(where, monkeypatch):
             hashed.clear()
             with monkeypatch.context() as m:
                 m.setattr(clocks, "first_arrival_grid", recording)
-                query = percolation._ladder_query(surface, window, [seed], half)
+                query = percolation._ladder_query(surface, [seed], half)
                 assert [bool(query(t)[0]) for t in thresholds] == want
             assert len(hashed) == len(set(hashed))
             flips += any(want) and not all(want)
