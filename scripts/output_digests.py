@@ -39,6 +39,7 @@ COMMANDS = (
      "--t-end", "0.5"),
     ("heights", "--region", "tube", "--phi", "1.2", "--heights-list", "8,12",
      "--samples", "60"),
+    ("verify", "--seed", "6", "--verify-runs", "12", "--t-end", "0.5"),
 )
 
 

@@ -496,11 +496,15 @@ def cmd_verify(config: RunConfig) -> int:
 
     runs = config.verify_runs
     window = Window(-12, 12, 0, 10)
-    probes = [config.t_end * (j + 1) / 5.0 for j in range(5)]
     shift = 1 if config.corrupt_streams else 0
-    fire = [f"run {i}: {f}" for i, seed in enumerate(seeds(40_000, runs))
-            for f in invariants.fire_run_failures(window, seed, config.t_end,
-                                                  probes, seed + shift)]
+    fire, records_sha = [], hashlib.sha256()
+    for i, seed in enumerate(seeds(40_000, runs)):
+        records, failures = invariants.fire_run_failures(
+            window, seed, config.t_end, seed + shift)
+        fire += [f"run {i}: {f}" for f in failures]
+        for rec in records:
+            records_sha.update(f"{i} {rec.time!r} {rec.ignition} "
+                               f"{rec.sites.tolist()}\n".encode())
     n_two = max(4000, runs * 40)
     p_hat, two = invariants.two_state_check(seeds(90_000, n_two),
                                             invariants.TWO_STATE_P, 4.0)
@@ -510,7 +514,9 @@ def cmd_verify(config: RunConfig) -> int:
         [(seed, 3 + i % 5, 0.3 + 0.05 * (i % 8), True)
          for i, seed in enumerate(seeds(80_000, 60))], config.phi)
     checks = [
-        _check("fire-invariants", fire, runs=runs),
+        _check("fire-invariants", fire, runs=runs,
+               window=[window.k_min, window.k_max, window.l_min, window.l_max],
+               t_end=config.t_end, records_sha256=records_sha.hexdigest()),
         _check("two-state-oracle", two, runs=n_two, p_hat=p_hat,
                p_true=invariants.TWO_STATE_P),
         _check("first-connection-oracle", conn, cases=40),

@@ -12,10 +12,9 @@ site is occupied exactly when its cursor is below t, which keeps the
 (t, l, k) order in which a ring comes before a growth at the same t.  The
 rings of row 0 are hashed for the whole row at once and sorted by (t, k);
 each fire is a breadth-first search from the ring's two row-1 neighbours
-that moves every burnt site's cursor past t.  The event log, when asked
-for, is derived afterwards: a grow event at each first arrival and each
-post-burn cursor value up to t_end, merged with the rings in (t, l, k)
-order.
+that moves every burnt site's cursor past t.  The reference for this loop
+is ``invariants.naive_run``, which applies every clock jump of every site
+in (t, l, k) order; ``invariants.fire_run_failures`` compares the two.
 
 The process factorizes over fire cells: the clusters of the growth
 snapshot at t_c together with their outer boundaries.  A cell whose
@@ -74,7 +73,6 @@ class FireState:
     window: Window
     occ: np.ndarray
     t_end: float
-    events: list | None = field(default=None, repr=False)
     # First clock arrivals on the window, hashed once per run.
     arrivals: np.ndarray | None = field(default=None, repr=False)
 
@@ -82,19 +80,8 @@ class FireState:
         return bool(self.occ[self.window.index(site)])
 
 
-@dataclass
-class FireEvent:
-    time: float
-    site: Site
-    kind: str  # "grow" | "ring"
-
-
-def run(window: Window, seed: int, t_end: float = T_C,
-        collect_events: bool = False):
-    """Run the forest-fire process; returns (FireState, destruction log).
-
-    ``collect_events`` keeps the grow and ring events in ``FireState.events``.
-    """
+def run(window: Window, seed: int, t_end: float = T_C):
+    """Run the forest-fire process; returns (FireState, destruction log)."""
     if t_end > T_C + 1e-12:
         raise ValueError(f"t_end is capped at t_c = log 2 ~ {T_C:.6f}")
     if t_end <= 0.0:
@@ -119,7 +106,6 @@ def run(window: Window, seed: int, t_end: float = T_C,
     cur = padded(arrivals).tolist()
     gap1 = padded(clocks.gap_from_state(states, 1))
     jumps = {}  # burnt site's flat index -> index j of its cursor's jump
-    regrown = [] if collect_events else None
     k0, l0 = window.k_min - 1, window.l_min - 1
 
     def burn(i: int, t: float) -> None:
@@ -131,8 +117,6 @@ def run(window: Window, seed: int, t_end: float = T_C,
             s += gap1.item(i) if j == 1 else clocks.gap_from_state(int(states[r - 1, c - 1]), j)
         cur[i] = s
         jumps[i] = j
-        if regrown is not None and s <= t_end:
-            regrown.append((s, c + k0, r + l0))
 
     offsets = [dl * stride + dk for dl, dk in GRID_OFFSETS]
     row1 = (1 - l0) * stride - k0  # row1 + k is the flat index of (k, 1)
@@ -153,15 +137,11 @@ def run(window: Window, seed: int, t_end: float = T_C,
                              dtype=np.int64)
             records.append(DestructionRecord(t, (k, 0), sites))
 
-    grown = arrivals <= t_end
-    grown[0] = False
-    occ = grown.astype(np.uint8)
+    occ = (arrivals <= t_end).astype(np.uint8)
+    occ[0] = 0
     for i in jumps:
         occ[i // stride - 1, i % stride - 1] = cur[i] <= t_end
-    events = None
-    if collect_events:
-        events = _event_log(window, arrivals, grown, ring_t, ring_k, regrown)
-    return FireState(window, occ, t_end, events, arrivals), records
+    return FireState(window, occ, t_end, arrivals), records
 
 
 def _ring_schedule(window: Window, t_end: float, states: np.ndarray,
@@ -182,49 +162,6 @@ def _ring_schedule(window: Window, t_end: float, states: np.ndarray,
     ts, ks = np.concatenate(all_t), np.concatenate(all_k)
     order = np.lexsort((ks, ts))
     return ts[order].tolist(), ks[order].tolist()
-
-
-def _event_log(window: Window, arrivals: np.ndarray, first: np.ndarray,
-               ring_t: list, ring_k: list, regrown: list):
-    """A run's grow and ring events in (t, l, k) order.
-
-    A site grows at its first arrival (where ``first``) and at every cursor
-    value up to t_end that a burn sets (``regrown``); nothing else grows.
-    """
-    K, L = window.axial_grids()
-    timeline = [(t, 0, k, "ring") for t, k in zip(ring_t, ring_k)]
-    timeline += [(t, l, k, "grow") for t, l, k in
-                 zip(arrivals[first].tolist(), L[first].tolist(), K[first].tolist())]
-    timeline += [(t, l, k, "grow") for t, k, l in regrown]
-    timeline.sort()
-    return [FireEvent(t, (k, l), kind) for t, l, k, kind in timeline]
-
-
-def reconstruct_occupancy(window: Window, events: list[FireEvent],
-                          records: list[DestructionRecord], t: float,
-                          strict: bool = False) -> np.ndarray:
-    """Replay the logged growth/destruction timeline up to time t.
-
-    Independent of the live run loop: applies grow events and destruction
-    records in (time, l, k) order.  ``strict`` stops just before t.
-    """
-    timeline = []
-    for ev in events:
-        if ev.kind == "grow":
-            timeline.append((ev.time, ev.site[1], ev.site[0], "g", ev.site))
-    for rec in records:
-        timeline.append((rec.time, 0, rec.ignition[0], "d", rec))
-    timeline.sort(key=lambda item: (item[0], item[1], item[2]))
-    occ = np.zeros((window.n_rows, window.n_cols), dtype=np.uint8)
-    for time, _, _, kind, payload in timeline:
-        if time > t or (strict and time >= t):
-            break
-        if kind == "g":
-            occ[window.index(payload)] = 1
-        else:
-            occ[payload.sites[:, 1] - window.l_min,
-                payload.sites[:, 0] - window.k_min] = 0
-    return occ
 
 
 def height_of_destruction(records: list[DestructionRecord], region,

@@ -1,115 +1,98 @@
 """Checks of the fire and growth processes against their definitions.
 
-Each check takes its seeds and returns its failures as strings; an empty
-list means the check holds.  ``firelab verify``, the acceptance criteria
-and the unit tests run these same functions with their own seeds, run
-counts and tolerances.
+The fire process has one reference, :func:`naive_run`, which applies the
+process's rules to every clock jump in turn; every fire run is checked by
+comparing it with that reference (:func:`fire_run_failures`).  Each check
+takes its seeds and returns its failures as strings; an empty list means
+the check holds.  ``firelab verify``, the acceptance criteria and the unit
+tests run these same functions with their own seeds, run counts and
+tolerances.
 """
 
 import math
-from collections import Counter
 
 import numpy as np
 
 from . import clocks, firesim, percolation
 from .clocks import T_C
-from .lattice import RhombusSurface, Site, Window, outer_boundary
+from .lattice import RhombusSurface, Site, Window, neighbors
 
 # Closed form of two_state_check's probability: (1 - e^{-t_c})^2.
 TWO_STATE_P = (1.0 - math.exp(-T_C)) ** 2
 
 
-def fire_log_failures(state: firesim.FireState,
-                      records: list[firesim.DestructionRecord], seed: int,
-                      probe_times=(), clock_seed: int | None = None) -> list[str]:
-    """Check one logged fire run against the definition of the process.
+def naive_run(sites, seed: int, t_end: float):
+    """Definition-direct reference run of the fire process on ``sites``.
 
-    ``state`` carries the run's event log (``run(collect_events=True)``).
-    Against clocks recomputed under ``seed``, the checks are:
-
-    * the boundary row is vacant and the growth process dominates the fire
-      process, at ``state.t_end`` and, on the replayed log, at each of
-      ``probe_times``;
-    * growth happens only in rows l >= 1 and only at a jump of the site's
-      clock;
-    * every jump up to ``state.t_end`` of a row-0 clock of the window is
-      logged as exactly one ring, and no other ring is logged;
-    * a record is non-empty, lies in rows l >= 1, was occupied just before
-      its time, and is ignited at a jump of a row-0 clock on its outer
-      boundary;
-    * a destroyed site whose clock jumps after the record and by
-      ``state.t_end`` grows again at the first such jump.
-
-    ``clock_seed`` replaces ``seed`` in the domination reference only; a
-    different seed there is a negative control.
+    Applies every clock jump up to ``t_end`` of every listed site in
+    (t, l, k) order: a jump in rows l >= 1 grows a tree, and a jump of a
+    row-0 clock burns the occupied clusters of its adjacent sites (k, 1)
+    and (k - 1, 1), in that order.  No cursors, no ring schedule.  Returns
+    the occupied sites at ``t_end`` and the records as
+    ``(t, ignition, frozenset of burnt sites)``.
     """
-    window, t_end, events = state.window, state.t_end, state.events
-    arrivals = clocks.first_arrival_grid(seed if clock_seed is None else clock_seed,
-                                         window)
-    failures = []
-    occ = state.occ.astype(bool)
-    if (occ & ~(arrivals <= t_end)).any():
-        failures.append("domination violated at t_end")
-    if occ[0, :].any():
-        failures.append("boundary row occupied at t_end")
-    for t in probe_times:
-        occ_t = firesim.reconstruct_occupancy(window, events, records, t).astype(bool)
-        if occ_t[0, :].any():
-            failures.append(f"boundary row occupied at t={t:.4f}")
-        if (occ_t & ~(arrivals <= t)).any():
-            failures.append(f"domination violated at t={t:.4f}")
-
-    for ev in events:
-        if ev.kind != "grow":
+    jumps = sorted((t, l, k) for k, l in sites
+                   for t in clocks.jumps_in(seed, (k, l), 0.0, t_end))
+    occupied = set()
+    records = []
+    for t, l, k in jumps:
+        if l >= 1:
+            occupied.add((k, l))
             continue
-        if ev.site[1] < 1:
-            failures.append(f"growth in the boundary row at {ev.site}")
-        elif ev.time not in clocks.jumps_in(seed, ev.site, 0.0, t_end):
-            failures.append(f"growth without a clock jump at {ev.site}")
+        for v in ((k, 1), (k - 1, 1)):
+            if v not in occupied:
+                continue
+            occupied.remove(v)
+            cluster, stack = {v}, [v]
+            while stack:
+                for u in neighbors(stack.pop()):
+                    if u in occupied:
+                        occupied.remove(u)
+                        cluster.add(u)
+                        stack.append(u)
+            records.append((t, (k, 0), frozenset(cluster)))
+    return occupied, records
 
-    logged = Counter((ev.site, ev.time) for ev in events if ev.kind == "ring")
-    jumps = Counter()
-    for k in range(window.k_min, window.k_max + 1):
-        jumps.update(((k, 0), t) for t in clocks.jumps_in(seed, (k, 0), 0.0, t_end))
-    for site, t in sorted(logged.keys() | jumps.keys()):
-        if logged[(site, t)] != jumps[(site, t)]:
-            failures.append(f"ring at {site} t={t:.6f} logged {logged[(site, t)]} "
-                            f"times for {jumps[(site, t)]} clock jumps")
 
-    grown = {(ev.site, ev.time) for ev in events if ev.kind == "grow"}
-    for rec in records:
-        at = f"t={rec.time:.6f}"
-        destroyed = {(int(k), int(l)) for k, l in rec.sites}
-        if not destroyed:
-            failures.append(f"empty destruction record at {at}")
-        if any(l < 1 for _, l in destroyed):
-            failures.append(f"boundary-row site destroyed at {at}")
-        if rec.ignition[1] != 0:
-            failures.append(f"ignition {rec.ignition} off the boundary row at {at}")
-        if rec.time not in clocks.jumps_in(seed, rec.ignition, 0.0, t_end):
-            failures.append(f"ignition clock silent at {at}")
-        if rec.ignition not in outer_boundary(destroyed):
-            failures.append(f"ignition site not on the cluster boundary at {at}")
-        occ_before = firesim.reconstruct_occupancy(window, events, records,
-                                                   rec.time, strict=True)
-        vacant = sorted(s for s in destroyed if not occ_before[window.index(s)])
-        if vacant:
-            failures.append(f"destroyed site {vacant[0]} was vacant at {at}")
-        if rec.time < t_end:
-            for site in sorted(destroyed):
-                later = clocks.jumps_in(seed, site, rec.time, t_end)
-                if later and (site, later[0]) not in grown:
-                    failures.append(f"destroyed site {site} did not regrow at "
-                                    f"t={later[0]:.6f}")
-    return failures
+def _record_failure(i: int, got: tuple, want: tuple) -> str:
+    (t, ignition, sites), (t_ref, ignition_ref, sites_ref) = got, want
+    if (t, ignition) != (t_ref, ignition_ref):
+        return (f"record {i}: t={t!r} at {ignition}, "
+                f"reference t={t_ref!r} at {ignition_ref}")
+    extra, missing = sorted(sites - sites_ref), sorted(sites_ref - sites)
+    return f"record {i} at t={t!r}: extra sites {extra}, missing sites {missing}"
 
 
 def fire_run_failures(window: Window, seed: int, t_end: float = T_C,
-                      probe_times=(), clock_seed: int | None = None) -> list[str]:
-    """Run the fire process to ``t_end`` with its event log and check it
-    (:func:`fire_log_failures`)."""
-    state, records = firesim.run(window, seed, t_end, collect_events=True)
-    return fire_log_failures(state, records, seed, probe_times, clock_seed)
+                      clock_seed: int | None = None
+                      ) -> tuple[list[firesim.DestructionRecord], list[str]]:
+    """Run the fire process on ``window`` to ``t_end`` and compare it with
+    :func:`naive_run` on the window's sites.
+
+    The run must give the reference's records in the same order, each with
+    the same time, ignition and site set, and the same final occupancy.
+    Returns the run's records and the failures: the first record that
+    differs, a differing record count and the first site whose final
+    occupancy differs.  ``clock_seed`` replaces ``seed`` in the reference
+    only; a different seed there is a negative control.
+    """
+    state, records = firesim.run(window, seed, t_end)
+    occupied, want = naive_run(window.sites(),
+                               seed if clock_seed is None else clock_seed, t_end)
+    got = [(r.time, r.ignition, frozenset(map(tuple, r.sites.tolist())))
+           for r in records]
+    failures = [_record_failure(i, a, b)
+                for i, (a, b) in enumerate(zip(got, want)) if a != b][:1]
+    if len(got) != len(want):
+        failures.append(f"{len(got)} records, reference {len(want)}")
+    occ_ref = np.zeros_like(state.occ)
+    for site in occupied:
+        occ_ref[window.index(site)] = 1
+    differ = np.argwhere(state.occ != occ_ref).tolist()
+    if differ:
+        failures.append(f"final occupancy differs at {len(differ)} sites, "
+                        f"first {window.site(*differ[0])}")
+    return records, failures
 
 
 def two_state_check(seeds, p_true: float, n_se: float) -> tuple[float, list[str]]:

@@ -55,16 +55,6 @@ def half_plane_neighbors(site: Site) -> list[Site]:
     return [(k + dk, l + dl) for dk, dl in NEIGHBOR_OFFSETS if l + dl >= 0]
 
 
-def outer_boundary(sites: set[Site]) -> set[Site]:
-    """Half-plane sites (``l >= 0``) not in ``sites`` adjacent to it."""
-    out: set[Site] = set()
-    for s in sites:
-        for v in neighbors(s):
-            if v not in sites and v[1] >= 0:
-                out.add(v)
-    return out
-
-
 @dataclass(frozen=True)
 class Window:
     """Finite axial-coordinate box ``k_min..k_max`` x ``l_min..l_max``."""

@@ -263,9 +263,17 @@ def test_verify_passes_and_is_reproducible(tmp_path):
 
 
 def test_verify_honours_t_end(tmp_path):
-    code = cli.main(["verify", "--seed", "6", "--verify-runs", "12",
-                     "--t-end", "0.5", "--out", str(tmp_path / "vt")])
-    assert code == EXIT_OK
+    # The report records the fire check's window, horizon and a digest of
+    # the checked runs' records, so a shorter horizon changes it.
+    args = ["verify", "--seed", "6", "--verify-runs", "12"]
+    assert cli.main(args + ["--out", str(tmp_path / "v")]) == EXIT_OK
+    assert cli.main(args + ["--t-end", "0.5", "--out", str(tmp_path / "vt")]) == EXIT_OK
+    full, short = ((tmp_path / d / "verify_report.json").read_bytes() for d in ("v", "vt"))
+    assert full != short
+    fire = [json.loads(r)["checks"][0] for r in (full, short)]
+    assert [c["t_end"] for c in fire] == [cli.RunConfig().t_end, 0.5]
+    assert fire[0]["window"] == fire[1]["window"] == [-12, 12, 0, 10]
+    assert fire[0]["records_sha256"] != fire[1]["records_sha256"]
 
 
 def test_verify_negative_control(tmp_path, capsys):

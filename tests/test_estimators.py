@@ -392,10 +392,25 @@ def test_event_a_deterministic_and_rare():
     assert 0 <= sum(vals) < 100
 
 
+def _occupied_before(seed, window, arrivals, records, t):
+    """Occupancy just before t, from the definition: a site in rows l >= 1
+    is occupied when its clock jumps in (b, t), where b is its last burn
+    before t, or 0 if it has none."""
+    occ = arrivals < t
+    occ[0] = False
+    last_burn = {}
+    for rec in records:
+        if rec.time < t:
+            last_burn.update((site, rec.time) for site in map(tuple, rec.sites.tolist()))
+    for site, b in last_burn.items():
+        occ[window.index(site)] = any(s < t for s in clocks.jumps_in(seed, site, b, t))
+    return occ
+
+
 def test_event_a_matches_snapshot_oracle():
     # Occupancy only grows between fires, so w's neighbourhood connects to
-    # the cone before j_last exactly when it is connected in the replayed
-    # occupancy just before some fire or just before j_last.
+    # the cone before j_last exactly when it is connected in the occupancy
+    # just before some fire or just before j_last.
     params = EventParams(8)
     w, cone = params.w_site, params.cone()
     window = estimators.event_a_window(params)
@@ -406,11 +421,11 @@ def test_event_a_matches_snapshot_oracle():
         expected = False
         if jumps:
             j_last = jumps[-1]
-            state, records = firesim.run(window, seed, j_last, collect_events=True)
+            _, records = firesim.run(window, seed, j_last)
+            arrivals = clocks.first_arrival_grid(seed, window)
             for t in [rec.time for rec in records] + [j_last]:
-                occ = firesim.reconstruct_occupancy(window, state.events, records,
-                                                    t, strict=True)
-                if percolation.is_connected(w, cone, window, occ.astype(bool)):
+                occ = _occupied_before(seed, window, arrivals, records, t)
+                if percolation.is_connected(w, cone, window, occ):
                     expected = True
                     break
         assert _sample_event_a(seed, params) == expected, i

@@ -13,10 +13,9 @@ from firelab.firesim import (
     DestructionRecord,
     height_bracket,
     height_of_destruction,
-    reconstruct_occupancy,
     run,
 )
-from firelab.lattice import TRI_STRUCTURE, ConeRegion, Window, outer_boundary
+from firelab.lattice import TRI_STRUCTURE, ConeRegion, Window, neighbors
 
 PHI = math.pi / 3
 SQ3 = math.sqrt(3.0)
@@ -41,11 +40,6 @@ class FireCell:
     @property
     def size(self) -> int:
         return int(self.core.shape[0])
-
-    def closure_window(self) -> Window:
-        ks = self.closure[:, 0]
-        ls = self.closure[:, 1]
-        return Window(int(ks.min()), int(ks.max()), int(ls.min()), int(ls.max()))
 
 
 def decompose_cells(window: Window, seed: int) -> list[FireCell]:
@@ -76,7 +70,7 @@ def run_cell(cell: FireCell, seed: int, t_end: float = T_C):
     if not cell.certified:
         raise UncertifiedCellError(f"cell {cell.label} touches the window edge")
     closure = {(int(k), int(l)) for k, l in cell.closure}
-    _, records = _naive_run(cell.closure_window(), seed, t_end, closure)
+    _, records = invariants.naive_run(closure, seed, t_end)
     return [DestructionRecord(t, ignition, np.array(sorted(sites), dtype=np.int64))
             for t, ignition, sites in records]
 
@@ -148,83 +142,67 @@ def test_run_deterministic():
         assert (a.sites == b.sites).all()
 
 
-def test_invariant_suite():
-    """Domination, boundary vacancy, growth and destruction provenance."""
-    window = Window(-8, 8, 0, 7)
-    for i in range(120):
-        seed = clocks.derive_seed(2001, i)
+def test_runner_matches_naive_reference():
+    """Records in order (time, ignition, site set) and final occupancy equal
+    the definition-direct reference's."""
+    cases = [(Window(-8, 8, 0, 7), clocks.derive_seed(2001, i)) for i in range(120)]
+    cases += [(Window(-5 - (i % 4), 5 + (i % 3), 0, 4 + (i % 4)),
+               clocks.derive_seed(123456, i)) for i in range(300)]
+    for window, seed in cases:
         for t_end in (T_C, 0.5):
-            probes = [t_end * frac for frac in (0.2, 0.5, 0.8)]
-            assert invariants.fire_run_failures(window, seed, t_end, probes) == []
+            _, failures = invariants.fire_run_failures(window, seed, t_end)
+            assert failures == [], (window, seed, t_end)
 
 
-def test_fire_log_checker_reports_corrupted_logs():
+def test_fire_run_failures_reports_corruptions(monkeypatch):
     window = Window(-8, 8, 0, 7)
     seed = clocks.derive_seed(2002, 0)
-    state, records = run(window, seed, T_C, collect_events=True)
-    assert records
-    assert invariants.fire_log_failures(state, records, seed) == []
+    state, records = run(window, seed, T_C)
+    n = len(records)
+    assert n >= 2 and records[1].time != records[0].time
+    assert invariants.fire_run_failures(window, seed)[1] == []
 
-    # A grow event moved off its clock jump.
-    events = list(state.events)
-    g = next(i for i, ev in enumerate(events) if ev.kind == "grow")
-    moved = dataclasses.replace(events[g], time=events[g].time * (1.0 - 1e-9))
-    events[g] = moved
-    got = invariants.fire_log_failures(
-        dataclasses.replace(state, events=events), records, seed)
-    assert got == [f"growth without a clock jump at {moved.site}"]
+    # clock_seed: the reference runs on other clocks, with as many records
+    # on this seed.
+    occupied, ref = invariants.naive_run(window.sites(), seed + 1, T_C)
+    assert len(ref) == n
+    differ = sorted({s for s in window.sites() if state.occupied(s)} ^ occupied,
+                    key=lambda s: (s[1], s[0]))
+    assert invariants.fire_run_failures(window, seed, T_C, seed + 1)[1] == [
+        f"record 0: t={records[0].time!r} at {records[0].ignition}, "
+        f"reference t={ref[0][0]!r} at {ref[0][1]}",
+        f"final occupancy differs at {len(differ)} sites, first {differ[0]}"]
 
-    # A destroyed site left vacant just before its record: drop its last
-    # grow event before the record.
-    rec = records[0]
-    site = (int(rec.sites[0, 0]), int(rec.sites[0, 1]))
-    g = max(i for i, ev in enumerate(state.events)
-            if ev.kind == "grow" and ev.site == site and ev.time < rec.time)
-    events = state.events[:g] + state.events[g + 1:]
-    got = invariants.fire_log_failures(
-        dataclasses.replace(state, events=events), records, seed)
-    assert got == [f"destroyed site {site} was vacant at t={rec.time:.6f}"]
+    def failures(state, records):
+        monkeypatch.setattr(firesim, "run", lambda *args: (state, records))
+        return invariants.fire_run_failures(window, seed)[1]
 
-    # A ring dropped from the log.
-    r = next(i for i, ev in enumerate(state.events) if ev.kind == "ring")
-    ring = state.events[r]
-    events = state.events[:r] + state.events[r + 1:]
-    got = invariants.fire_log_failures(
-        dataclasses.replace(state, events=events), records, seed)
-    assert got == [f"ring at {ring.site} t={ring.time:.6f} logged 0 times "
-                   f"for 1 clock jumps"]
+    # One site dropped from a record.
+    j = next(j for j, rec in enumerate(records) if rec.size >= 2)
+    rec = records[j]
+    site = tuple(rec.sites[-1].tolist())
+    cut = records[:j] + [dataclasses.replace(rec, sites=rec.sites[:-1])] + records[j + 1:]
+    assert failures(state, cut) == [
+        f"record {j} at t={rec.time!r}: extra sites [], missing sites [{site}]"]
 
-    # A regrowth moved to the next jump of its clock, with no fire in
-    # between that would find the site vacant.  Such a regrowth is rare on
-    # this window, so search the seeds for one.
-    def movable_regrowth(seed, state, records):
-        def burns(site, t0, t1):
-            return any(t0 < rec.time < t1
-                       and site in set(map(tuple, rec.sites.tolist()))
-                       for rec in records)
+    # One record's time shifted.
+    late = math.nextafter(records[0].time, math.inf)
+    shifted = [dataclasses.replace(records[0], time=late)] + records[1:]
+    assert failures(state, shifted) == [
+        f"record 0: t={late!r} at {records[0].ignition}, "
+        f"reference t={records[0].time!r} at {records[0].ignition}"]
 
-        for g, ev in enumerate(state.events):
-            later = clocks.jumps_in(seed, ev.site, ev.time, T_C)
-            if ev.kind == "grow" and later and burns(ev.site, 0.0, ev.time) \
-                    and not burns(ev.site, ev.time, later[0]):
-                return g, later[0]
-        return None
+    # One record dropped.
+    assert failures(state, records[1:]) == [
+        f"record 0: t={records[1].time!r} at {records[1].ignition}, "
+        f"reference t={records[0].time!r} at {records[0].ignition}",
+        f"{n - 1} records, reference {n}"]
 
-    for i in range(100):
-        seed = clocks.derive_seed(2002, i)
-        state, records = run(window, seed, T_C, collect_events=True)
-        found = movable_regrowth(seed, state, records)
-        if found is not None:
-            break
-    assert found is not None
-    g, nxt = found
-    ev = state.events[g]
-    events = list(state.events)
-    events[g] = dataclasses.replace(ev, time=nxt)
-    assert invariants.fire_log_failures(state, records, seed) == []
-    got = invariants.fire_log_failures(
-        dataclasses.replace(state, events=events), records, seed)
-    assert got == [f"destroyed site {ev.site} did not regrow at t={ev.time:.6f}"]
+    # One final-occupancy bit flipped.
+    occ = state.occ.copy()
+    occ[window.index((0, 3))] ^= 1
+    assert failures(dataclasses.replace(state, occ=occ), records) == [
+        "final occupancy differs at 1 sites, first (0, 3)"]
 
 
 def test_destroyed_sites_regrow():
@@ -290,7 +268,6 @@ def test_decompose_no_clusters():
 
 
 def test_decompose_singleton_closure():
-    from firelab.lattice import neighbors
     window = Window(-3, 3, 0, 4)
 
     def isolated_site(seed):
@@ -324,8 +301,8 @@ def test_decompose_partition_and_closures():
             seen |= core
             total += len(core)
             closure = {(int(k), int(l)) for k, l in cell.closure}
-            assert closure == {s for s in core | outer_boundary(core)
-                               if window.contains(s)}
+            assert closure == {v for s in core for v in [s, *neighbors(s)]
+                               if window.contains(v)}
             # Certified exactly when the closure avoids the left, right and
             # top window edges.
             inside = all(window.k_min < k < window.k_max and l < window.l_max
@@ -494,75 +471,16 @@ def test_record_time_rule_exact_records_survive_window_doubling():
     assert beyond_cell > 0
 
 
-def test_replay_matches_final_state():
-    window = Window(-7, 7, 0, 6)
-    for i in range(50):
-        seed = clocks.derive_seed(999, i)
-        state, records = run(window, seed, T_C, collect_events=True)
-        occ = reconstruct_occupancy(window, state.events, records, T_C)
-        assert (occ == state.occ).all()
-
-
-def _naive_run(window, seed, t_end, sites=None):
-    """Definition-direct reference: apply every clock jump of every site in
-    (time, l, k) order; a boundary jump clears the occupied clusters of its
-    adjacent interior sites.  No lazy queues, no event merging.  ``sites``
-    restricts the dynamics to a subset of the window's sites."""
-    events = []
-    for k, l in window.sites() if sites is None else sites:
-        for t in clocks.jumps_in(seed, (k, l), 0.0, t_end):
-            events.append((t, l, k))
-    events.sort()
-    occ = {}
-    records = []
-    offs = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1))
-    for t, l, k in events:
-        if l >= 1:
-            occ[(k, l)] = True
-            continue
-        for v in ((k, 1), (k - 1, 1)):
-            if not window.contains(v) or not occ.get(v):
-                continue
-            stack = [v]
-            cluster = {v}
-            occ[v] = False
-            while stack:
-                ck, cl = stack.pop()
-                for dk, dl in offs:
-                    w2 = (ck + dk, cl + dl)
-                    if window.contains(w2) and occ.get(w2):
-                        occ[w2] = False
-                        cluster.add(w2)
-                        stack.append(w2)
-            records.append((t, (k, 0), frozenset(cluster)))
-    return occ, records
-
-
-def test_runner_matches_naive_reference():
-    for i in range(300):
-        seed = clocks.derive_seed(123456, i)
-        window = Window(-5 - (i % 4), 5 + (i % 3), 0, 4 + (i % 4))
-        for t_end in (T_C, 0.5):
-            state, recs = run(window, seed, t_end)
-            occ_naive, recs_naive = _naive_run(window, seed, t_end)
-            for site in window.sites():
-                assert bool(state.occupied(site)) == bool(occ_naive.get(site, False))
-            got = [(r.time, r.ignition, frozenset(map(tuple, r.sites.tolist())))
-                   for r in recs]
-            assert got == recs_naive
-
-
 def test_two_state_check_matches_naive_run_on_the_igniters():
     # Seed by seed, the two-state indicator equals a fire in the naive run
     # restricted to the interior site (0, 1) and its igniters (0, 0) and
     # (1, 0).
-    window = Window(0, 1, 0, 1)
     sites = {(0, 0), (1, 0), (0, 1)}
     hits = 0
     for i in range(2000):
         seed = clocks.derive_seed(606, i)
         p_hat, _ = invariants.two_state_check([seed], invariants.TWO_STATE_P, 3.0)
-        _, records = _naive_run(window, seed, T_C, sites)
+        _, records = invariants.naive_run(sites, seed, T_C)
         assert p_hat == float(bool(records)), i
         hits += bool(records)
     assert 0 < hits < 2000

@@ -13,7 +13,6 @@ from firelab.lattice import (
     embed,
     near_surface_mask,
     neighbors,
-    outer_boundary,
 )
 
 
@@ -75,31 +74,6 @@ def test_neighbors_symmetric_on_window():
         for v in neighbors(s):
             if v in site_set:
                 assert s in neighbors(v)
-
-
-def test_outer_boundary_of_boundary_site():
-    # A boundary-row site has exactly four half-plane neighbors.
-    assert outer_boundary({(0, 0)}) == {(1, 0), (-1, 0), (0, 1), (-1, 1)}
-
-
-def test_outer_boundary_empty():
-    assert outer_boundary(set()) == set()
-
-
-def test_outer_boundary_pair_brute_force():
-    cluster = {(0, 1), (1, 1)}
-    # Independent scan over a covering window.
-    expected = set()
-    for k in range(-3, 5):
-        for l in range(0, 5):
-            s = (k, l)
-            if s in cluster:
-                continue
-            if any(v in cluster for v in neighbors(s)):
-                expected.add(s)
-    got = outer_boundary(cluster)
-    assert got == expected
-    assert len(got) == 8
 
 
 def _cone_membership_by_basis(cone, site):
