@@ -231,22 +231,23 @@ def _ladder_query(surface: RhombusSurface, seeds, half_plane: bool):
     cluster, so when none meets the band the answer is False.  On each rung
     the seeds still undecided are hashed as one (seeds, rows, cols) stack of
     at most MAX_STACK_SITES sites and labelled plane by plane in one call;
-    the seeds it decides drop out before the next rung.  A query of one
-    seed, the only kind asked more than one threshold, hashes each rung
-    once, on first use, and keeps it; every threshold labels its own
-    snapshot of it.
+    the seeds it decides drop out before the next rung.  A rung keeps the
+    integer hash bits, and the snapshot at t is ``bits <= arrival_bound(t)``,
+    equal to ``first_arrival_grid(...) <= t``.  A query of one seed, the
+    only kind asked more than one threshold, hashes each rung once, on first
+    use, and keeps it; every threshold labels its own snapshot of it.
     """
     rungs = _ladder(surface, half_plane)
     seeds = list(seeds)
-    kept: dict[int, np.ndarray] = {}  # a one-seed query's grids, by rung
+    kept: dict[int, np.ndarray] = {}  # a one-seed query's bits, by rung
 
-    def arrivals(rung: int, group: list[int]) -> np.ndarray:
+    def bits(rung: int, group: list[int]) -> np.ndarray:
         if rung in kept:
             return kept[rung]
         # One seed is hashed and labelled as a plain grid: cheaper per
         # call, and the decisions below read it as a stack of one.
         picked = [seeds[i] for i in group]
-        stack = clocks.first_arrival_grid(
+        stack = clocks.first_arrival_bits(
             picked if len(picked) > 1 else picked[0], rungs[rung][0])
         if len(seeds) == 1:
             kept[rung] = stack
@@ -254,13 +255,16 @@ def _ladder_query(surface: RhombusSurface, seeds, half_plane: bool):
 
     def connected(t: float) -> np.ndarray:
         out = np.zeros(len(seeds), dtype=bool)
+        q = clocks.arrival_bound(t)
+        if q < 0:  # no site is occupied
+            return out
         todo = list(range(len(seeds)))
         for rung, (sub, starts, watched, n_band) in enumerate(rungs):
             step = max(1, MAX_STACK_SITES // sub.n_sites)
             undecided = []
             for g in range(0, len(todo), step):
                 group = todo[g:g + step]
-                labels, is_start = _start_clusters(arrivals(rung, group) <= t, starts)
+                labels, is_start = _start_clusters(bits(rung, group) <= q, starts)
                 seen = is_start[labels.reshape(len(group), -1).take(watched, axis=1)]
                 hit = seen[:, :n_band].any(axis=1).tolist()
                 on_edge = seen[:, n_band:].any(axis=1).tolist()

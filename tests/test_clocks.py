@@ -6,6 +6,7 @@ from scipy import stats
 
 from firelab import clocks
 from firelab.clocks import T_C
+from firelab.estimators import EventParams
 from firelab.lattice import Window
 
 
@@ -134,6 +135,87 @@ def test_array_draws_leave_states_unchanged():
             clocks.gap_from_state(h, j)
             clocks._uniform_from_state(h, j)
             assert np.array_equal(states, kept)
+
+
+def _bits_windows():
+    """Windows that cut ``first_arrival_bits``'s blocks every way: wider
+    than one block, a row count that is no multiple of a block's rows, rows
+    below l = 0, and small windows whose stacks share a block."""
+    block = clocks._BLOCK_SITES
+    rows = block // 97
+    return [
+        Window(-block // 2 - 3, block // 2 + 3, -1, 1),   # wider than a block
+        Window(-48, 48, -rows - 5, 2 * rows),             # 3 blocks and a rest
+        Window(-37, 41, -5, 23),
+        Window(-(block // 6), 0, 0, 1),                   # 3 planes a block
+    ] + FACTOR_WINDOWS
+
+
+# Thresholds the ladder asks: t_c and just below it, the slice times of
+# n = 16 ... 256, the xi-scan times and 0.
+LADDER_TIMES = [T_C, math.nextafter(T_C, -math.inf), 0.0]
+LADDER_TIMES += [EventParams(n).slice_time for n in (16, 32, 64, 128, 256)]
+LADDER_TIMES += [T_C - g for g in (0.30, 0.22, 0.15, 0.10)]
+LADDER_TIMES += [math.nextafter(t, -math.inf) for t in LADDER_TIMES[3:]]
+
+
+@pytest.mark.parametrize("block", [None, 64])
+def test_first_arrival_bits_match_state_chain(block, monkeypatch):
+    # The blocked hash equals the whole-array chain bit for bit, for one
+    # seed and for stacks, the empty one included; a block of 64 sites cuts
+    # every window into many blocks.
+    if block:
+        monkeypatch.setattr(clocks, "_BLOCK_SITES", block)
+    for window in _bits_windows():
+        for seed in (2718, [0, 2**64 - 1, -3], [clocks.derive_seed(9, i) for i in range(7)], []):
+            bits = clocks.first_arrival_bits(seed, window)
+            want = clocks._bits_from_state(clocks.window_states(seed, window), 0)
+            assert bits.dtype == np.uint64 and bits.shape == want.shape
+            assert np.array_equal(bits, want)
+
+
+def test_bits_threshold_matches_first_arrival_grid():
+    # bits <= arrival_bound(t) is the float snapshot at every site, at the
+    # ladder's thresholds and at random t.
+    rng = np.random.default_rng(18)
+    times = LADDER_TIMES + rng.uniform(0.0, 3.0, size=8).tolist()
+    for window in _bits_windows()[:4]:
+        for seed in (31, [5, 6, 7], []):
+            bits = clocks.first_arrival_bits(seed, window)
+            arrivals = clocks.first_arrival_grid(seed, window)
+            for t in times:
+                assert np.array_equal(bits <= clocks.arrival_bound(t), arrivals <= t), t
+
+
+def _gaps_of_bits(bits):
+    """``gap_from_state``'s array operations on 53-bit integers."""
+    u = np.add(np.asarray(bits, dtype=np.uint64), 0.5) * 2.0 ** -53
+    with np.errstate(divide="ignore"):
+        return -np.log1p(-u)
+
+
+def test_arrival_bound_band():
+    # q = arrival_bound(t) is the last integer whose gap is <= t: the float
+    # test holds on q and the 100 integers below it, and fails on the 100
+    # above it.  Past that band the gap is farther from t than log1p's error.
+    rng = np.random.default_rng(99)
+    for t in LADDER_TIMES + rng.uniform(0.0, 3.0, size=20).tolist() + [1e-12, 40.0]:
+        q = clocks.arrival_bound(t)
+        assert -1 <= q < 2**53
+        band = np.arange(max(q - 100, 0), min(q + 101, 2**53), dtype=np.uint64)
+        assert np.array_equal(_gaps_of_bits(band) <= t, band <= q) if q >= 0 else \
+            not (_gaps_of_bits(band) <= t).any()
+    assert clocks.arrival_bound(0.0) == -1 and clocks.arrival_bound(-1.0) == -1
+
+
+def test_top_hash_value_has_infinite_gap():
+    # At m >> 11 = 2**53 - 1 the uniform rounds to 1.0 and the gap is +inf,
+    # so no finite t occupies that site.
+    top = 2**53 - 1
+    assert (top + 0.5) * 2.0 ** -53 == 1.0
+    assert _gaps_of_bits([top])[0] == math.inf
+    assert clocks.arrival_bound(1e300) == top - 1
+    assert clocks.arrival_bound(math.inf) == top
 
 
 def test_occupation_probability_at_tc():

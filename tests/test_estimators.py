@@ -112,13 +112,13 @@ def test_one_arm_successes_do_not_depend_on_chunk_size(monkeypatch):
     # chunk, seeds stop on different rungs: a later rung hashes fewer seeds
     # than the first, but not none.
     hashed = []
-    first_arrival_grid = clocks.first_arrival_grid
+    first_arrival_bits = clocks.first_arrival_bits
 
     def recording(seed, window):
         hashed.append(np.size(seed))
-        return first_arrival_grid(seed, window)
+        return first_arrival_bits(seed, window)
 
-    monkeypatch.setattr(clocks, "first_arrival_grid", recording)
+    monkeypatch.setattr(clocks, "first_arrival_bits", recording)
     samples = 150
     cases = [(16, T_C, True), (64, T_C, True)]
     cases += [(n, t, False) for t, n in _xiscan_points() if n >= 4 * percolation.MIN_RUNG]

@@ -286,13 +286,13 @@ def test_one_arm_ladder_matches_full_window(monkeypatch):
     # is recorded, so that samples decided on a sub-rung and samples that
     # reach the full window both provably occur.
     hashed = []
-    first_arrival_grid = clocks.first_arrival_grid
+    first_arrival_bits = clocks.first_arrival_bits
 
     def recording(seed, window):
         hashed[-1].append(window)
-        return first_arrival_grid(seed, window)
+        return first_arrival_bits(seed, window)
 
-    monkeypatch.setattr(clocks, "first_arrival_grid", recording)
+    monkeypatch.setattr(clocks, "first_arrival_bits", recording)
     seen = set()
     # At phi = pi/3 the target band lies outside every sub-rung, so only
     # the flat rhombi of phi = 0.25 can decide True below the full window.
@@ -304,7 +304,7 @@ def test_one_arm_ladder_matches_full_window(monkeypatch):
                 seed = clocks.derive_seed(97, 1000 * n + i)
                 hashed.append([])
                 got = one_arm_indicator(n, t, phi, seed, half, engine="grid")
-                occ = first_arrival_grid(seed, window) <= t
+                occ = clocks.first_arrival_grid(seed, window) <= t
                 assert got == is_connected((0, 0), surface, window, occ, half)
                 for sub in hashed[-1]:
                     assert (window.k_min <= sub.k_min and sub.k_max <= window.k_max
@@ -327,11 +327,11 @@ def test_ladder_query_thresholds_match_full_snapshot(where, monkeypatch):
     # order; each answer is is_connected on the full snapshot at that time,
     # and each window of the ladder is hashed at most once per query.
     hashed = []
-    first_arrival_grid = clocks.first_arrival_grid
+    first_arrival_bits = clocks.first_arrival_bits
 
     def recording(seed, window):
         hashed.append(window)
-        return first_arrival_grid(seed, window)
+        return first_arrival_bits(seed, window)
 
     rng = random.Random(5)
     flips = 0
@@ -344,7 +344,7 @@ def test_ladder_query_thresholds_match_full_snapshot(where, monkeypatch):
         slice_time = EventParams(n).slice_time
         for i in range(10):
             seed = clocks.derive_seed(4141, 1000 * n + i)
-            arrivals = first_arrival_grid(seed, window)
+            arrivals = clocks.first_arrival_grid(seed, window)
             times = _start_cluster_times(center, surface, window, arrivals, half)
             picks = [float(times[j]) for j in
                      np.linspace(0, times.size - 1, min(times.size, 8)).astype(int)]
@@ -358,7 +358,7 @@ def test_ladder_query_thresholds_match_full_snapshot(where, monkeypatch):
                     for t in thresholds]
             hashed.clear()
             with monkeypatch.context() as m:
-                m.setattr(clocks, "first_arrival_grid", recording)
+                m.setattr(clocks, "first_arrival_bits", recording)
                 query = percolation._ladder_query(surface, [seed], half)
                 assert [bool(query(t)[0]) for t in thresholds] == want
             assert len(hashed) == len(set(hashed))
