@@ -40,6 +40,8 @@ COMMANDS = (
     ("heights", "--region", "tube", "--phi", "1.2", "--heights-list", "8,12",
      "--samples", "60"),
     ("verify", "--seed", "6", "--verify-runs", "12", "--t-end", "0.5"),
+    ("events", "--n-list", "24,32", "--samples", "1500", "--x", "2.5",
+     "--phi", "0.8"),
 )
 
 

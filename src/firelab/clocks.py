@@ -77,7 +77,8 @@ def _scalar_uniform(h: int, j: int) -> float:
 
 def _seed_mixes(seeds) -> np.ndarray:
     """The first mix of each seed's chain, shared by all its sites."""
-    return np.array([mix64((s & MASK64) ^ GOLDEN) for s in seeds], dtype=np.uint64)
+    # int(s): ``s & MASK64`` overflows on a numpy integer seed.
+    return np.array([mix64((int(s) & MASK64) ^ GOLDEN) for s in seeds], dtype=np.uint64)
 
 
 def site_state(seed, site):
@@ -93,7 +94,7 @@ def site_state(seed, site):
     if isinstance(seed, (list, tuple, np.ndarray)):
         seed_mix = _seed_mixes(seed).reshape((-1,) + (1,) * max(k.ndim, l.ndim))
     else:
-        seed_mix = np.uint64(mix64((seed & MASK64) ^ GOLDEN))
+        seed_mix = np.uint64(mix64((int(seed) & MASK64) ^ GOLDEN))
     h = k.astype(np.uint64) ^ seed_mix
     h = _mix64_np(h, np.empty_like(h)) ^ l.astype(np.uint64)
     return _mix64_np(h, np.empty_like(h))

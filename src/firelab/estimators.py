@@ -22,6 +22,17 @@ T = first time w connects to S in the growth process:
   cluster stays occupied until one fire burns all of it, and w's own ring
   at j_last burns the clusters of both neighbours.
 
+  The growth process dominates the fire: a site in rows l >= 1 is
+  occupied in the fire at time s only if its first arrival is <= s.  So a
+  record at time s <= j_last lies inside one cluster of the growth
+  snapshot ``arrivals <= j_last`` with row 0 held vacant.  Two necessary
+  conditions follow and can only reject a sample before the fire runs:
+  (1) the first arrival of (k_w, 1) or of (k_w - 1, 1) is <= j_last, and
+  (2) w connects to the cone on that snapshot.  The snapshot uses <= at
+  j_last, not <, so it holds every record-time occupancy even when a
+  record's time equals an arrival; a tie cannot reject a hit.  Only a
+  sample that passes both runs the fire, and its records decide A.
+
 Growth only adds sites, so w is connected at time s exactly when T <= s,
 and T < s exactly when w is connected at ``math.nextafter(s, -inf)``, the
 largest float below s.  B, C and D are therefore threshold queries with no
@@ -407,13 +418,22 @@ def event_a_window(params: EventParams) -> Window:
 def _event_a(seed: int, params: EventParams, jumps: list[float]) -> bool:
     """One fire-process sample of the cone-connection event given w's clock
     jumps in (0, t_c], read off the destruction records of a run up to the
-    last of them."""
+    last of them.  Two necessary conditions on the growth snapshot at
+    j_last (module docstring) rule out most samples before the run."""
     w = params.w_site
     if not jumps:
         return False
-    win = event_a_window(params)
-    _, records = firesim.run(win, seed, t_end=jumps[-1])
-    near_cone = percolation.target_mask(win, params.cone(), True)
+    j_last = jumps[-1]
+    if all(clocks.first_arrival_value(seed, y) > j_last
+           for y in ((w[0], 1), (w[0] - 1, 1))):
+        return False
+    win, cone = event_a_window(params), params.cone()
+    occ = clocks.first_arrival_bits(seed, win) <= clocks.arrival_bound(j_last)
+    occ[0] = False
+    if not is_connected(w, cone, win, occ):
+        return False
+    _, records = firesim.run(win, seed, t_end=j_last)
+    near_cone = percolation.target_mask(win, cone, True)
     for rec in records:
         ks, ls = rec.sites[:, 0], rec.sites[:, 1]
         at_w = (ls == 1) & ((ks == w[0]) | (ks == w[0] - 1))

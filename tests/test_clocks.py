@@ -125,6 +125,19 @@ def test_seed_axis_stacks_per_seed_grids(window):
     assert clocks.first_arrival_grid([], window).shape == (0, window.n_rows, window.n_cols)
 
 
+def test_numpy_seeds_match_python_ints():
+    # A numpy stack or scalar of seeds gives the arrays of the same seeds
+    # as a list or an int; ``s & MASK64`` on a numpy integer overflowed.
+    window = Window(-3, 4, 0, 3)
+    cases = [(np.array([5, -3, 2**63 - 1], dtype=np.int64), [5, -3, 2**63 - 1]),
+             (np.array([5, 2**64 - 1], dtype=np.uint64), [5, 2**64 - 1]),
+             (np.int64(-3), -3), (np.uint64(2**64 - 1), 2**64 - 1)]
+    for given, want in cases:
+        for fn in (clocks.window_states, clocks.first_arrival_grid,
+                   clocks.first_arrival_bits):
+            assert np.array_equal(fn(given, window), fn(want, window))
+
+
 def test_array_draws_leave_states_unchanged():
     # The fire loop draws several gaps from one state grid and from its
     # rows, so no draw may mix the states it reads in place.

@@ -433,6 +433,38 @@ def test_event_a_matches_snapshot_oracle():
     assert any(outcomes) and not all(outcomes)
 
 
+def _event_a_from_records(seed, params, jumps):
+    """A from the destruction records of a fire run up to j_last, with no
+    check before the run."""
+    if not jumps:
+        return False
+    w, win = params.w_site, estimators.event_a_window(params)
+    _, records = firesim.run(win, seed, t_end=jumps[-1])
+    near_cone = percolation.target_mask(win, params.cone(), True)
+    for rec in records:
+        ks, ls = rec.sites[:, 0], rec.sites[:, 1]
+        at_w = (ls == 1) & ((ks == w[0]) | (ks == w[0] - 1))
+        if at_w.any() and near_cone[ls - win.l_min, ks - win.k_min].any():
+            return True
+    return False
+
+
+@pytest.mark.parametrize("n, base_seed, samples", [(16, 505, 3000), (8, 31, 400)])
+def test_event_a_shortcuts_keep_every_hit(n, base_seed, samples):
+    # The neighbour check and the growth-snapshot connection query only
+    # reject samples: A equals the records of an unconditional run on
+    # criterion 5's seeds and on small-n seeds.
+    params = EventParams(n)
+    hits = 0
+    for i in range(samples):
+        seed = clocks.derive_seed(base_seed, i)
+        jumps = clocks.jumps_in(seed, params.w_site, 0.0, T_C)
+        want = _event_a_from_records(seed, params, jumps)
+        assert estimators._event_a(seed, params, jumps) == want, i
+        hits += want
+    assert hits >= 1
+
+
 def test_borel_cantelli_known_series():
     ns = list(range(1, 10_001))
     points = [(n, make_estimate(0, 1)) for n in ns]
