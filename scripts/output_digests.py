@@ -42,6 +42,8 @@ COMMANDS = (
     ("verify", "--seed", "6", "--verify-runs", "12", "--t-end", "0.5"),
     ("events", "--n-list", "24,32", "--samples", "1500", "--x", "2.5",
      "--phi", "0.8"),
+    ("heights", "--region", "cone", "--heights-list", "48,96", "--samples",
+     "200"),
 )
 
 

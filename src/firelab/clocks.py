@@ -90,7 +90,7 @@ def site_state(seed, site):
     sequence of seeds; the states then gain a leading seed axis."""
     k, l = site
     if not isinstance(k, np.ndarray):
-        return _scalar_state(seed, k, l)
+        return _scalar_state(int(seed), k, l)
     if isinstance(seed, (list, tuple, np.ndarray)):
         seed_mix = _seed_mixes(seed).reshape((-1,) + (1,) * max(k.ndim, l.ndim))
     else:
@@ -145,12 +145,14 @@ def gap_from_state(h, j: int):
 
 def uniform(seed: int, site: Site, j: int) -> float:
     """The j-th uniform of a site's stream."""
-    return _scalar_uniform(_scalar_state(seed, site[0], site[1]), j)
+    # int(seed): ``_scalar_state``'s ``seed & MASK64`` overflows on a numpy
+    # integer seed; the conversion stays out of the scalar chain itself.
+    return _scalar_uniform(_scalar_state(int(seed), site[0], site[1]), j)
 
 
 def derive_seed(base_seed: int, index: int) -> int:
     """Independent child seed for sample ``index`` of an experiment."""
-    return mix64(((base_seed & MASK64) * GOLDEN + 2 * index + 1) & MASK64)
+    return mix64(((int(base_seed) & MASK64) * GOLDEN + 2 * int(index) + 1) & MASK64)
 
 
 def gap(seed: int, site: Site, j: int) -> float:

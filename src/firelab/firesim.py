@@ -12,7 +12,13 @@ site is occupied exactly when its cursor is below t, which keeps the
 (t, l, k) order in which a ring comes before a growth at the same t.  The
 rings of row 0 are hashed for the whole row at once and sorted by (t, k);
 each fire is a breadth-first search from the ring's two row-1 neighbours
-that moves every burnt site's cursor past t.  The reference for this loop
+that moves every burnt site's cursor past t.  The cursors live in a padded
+float array that the search indexes flat through a memoryview; gaps 1 and
+2 are hashed for the whole window with the arrivals, and only a site's
+third and later burn steps hash a scalar gap from its stream state.  A
+fire keeps the flat indices it burnt, and all records' (k, l) sites are
+built in one pass after the last ring; the final occupancy is one
+comparison of the cursors with t_end.  The reference for this loop
 is ``invariants.naive_run``, which applies every clock jump of every site
 in (t, l, k) order; ``invariants.fire_run_failures`` compares the two.
 
@@ -92,35 +98,45 @@ def run(window: Window, seed: int, t_end: float = T_C):
     arrivals = clocks.gap_from_state(states, 0)
     ring_t, ring_k = _ring_schedule(window, t_end, states, arrivals)
 
-    # Clock cursors (module docstring) in a flat list, and each site's gap 1,
-    # the first step of its first burn, in a flat array, both padded by one
-    # site on each side.  Row 0, where trees never grow, and the padding
-    # hold +inf and are never occupied.
+    # Clock cursors (module docstring), each site's jump 1 (its arrival plus
+    # gap 1, the float sum of a cursor's first step) and its gap 2, padded
+    # by one site on each side.  Row 0, where trees never grow, and the
+    # padding hold +inf and are never occupied.  A memoryview reads as fast
+    # as a list, writes into its array and builds no Python float for the
+    # sites that no fire reaches.
     stride = window.n_cols + 2
 
     def padded(grid: np.ndarray) -> np.ndarray:
         flat = np.full((window.n_rows + 2, stride), np.inf)
         flat[2:-1, 1:-1] = grid[1:]
-        return flat.ravel()
+        return flat
 
-    cur = padded(arrivals).tolist()
-    gap1 = padded(clocks.gap_from_state(states, 1))
+    cur_a = padded(arrivals)
+    cur = memoryview(cur_a.reshape(-1))
+    jump1 = memoryview((cur_a + padded(clocks.gap_from_state(states, 1))).reshape(-1))
+    gap2 = memoryview(padded(clocks.gap_from_state(states, 2)).reshape(-1))
+    state = memoryview(states.reshape(-1))  # a site's stream state, as an int
     jumps = {}  # burnt site's flat index -> index j of its cursor's jump
     k0, l0 = window.k_min - 1, window.l_min - 1
 
     def burn(i: int, t: float) -> None:
         """Move site i's cursor to its first clock jump after t."""
-        r, c = divmod(i, stride)
         s, j = cur[i], jumps.get(i, 0)
         while s <= t:
             j += 1
-            s += gap1.item(i) if j == 1 else clocks.gap_from_state(int(states[r - 1, c - 1]), j)
+            if j == 1:
+                s = jump1[i]
+            elif j == 2:
+                s += gap2[i]
+            else:
+                r, c = divmod(i, stride)
+                s += clocks.gap_from_state(state[(r - 1) * window.n_cols + c - 1], j)
         cur[i] = s
         jumps[i] = j
 
     offsets = [dl * stride + dk for dl, dk in GRID_OFFSETS]
     row1 = (1 - l0) * stride - k0  # row1 + k is the flat index of (k, 1)
-    records = []
+    fires = []  # (t, k, flat indices of the burnt sites in burning order)
     for t, k in zip(ring_t, ring_k):
         for start in (row1 + k, row1 + k - 1):
             if cur[start] >= t:
@@ -133,14 +149,16 @@ def run(window: Window, seed: int, t_end: float = T_C):
                     if cur[i + d] < t:
                         burn(i + d, t)
                         burned.append(i + d)
-            sites = np.array([(i % stride + k0, i // stride + l0) for i in burned],
-                             dtype=np.int64)
-            records.append(DestructionRecord(t, (k, 0), sites))
+            fires.append((t, k, burned))
 
-    occ = (arrivals <= t_end).astype(np.uint8)
-    occ[0] = 0
-    for i in jumps:
-        occ[i // stride - 1, i % stride - 1] = cur[i] <= t_end
+    # Every fire's flat indices become (k, l) sites in one pass; each
+    # record's sites are a slice of the result.
+    flat = np.fromiter((i for _, _, burned in fires for i in burned), dtype=np.int64)
+    sites = np.column_stack((flat % stride + k0, flat // stride + l0))
+    ends = np.cumsum([len(burned) for _, _, burned in fires]).tolist()
+    records = [DestructionRecord(t, (k, 0), sites[end - len(burned):end])
+               for (t, k, burned), end in zip(fires, ends)]
+    occ = (cur_a[1:-1, 1:-1] <= t_end).astype(np.uint8)
     return FireState(window, occ, t_end, arrivals), records
 
 
@@ -269,22 +287,28 @@ def height_bracket(window: Window, seed: int, region: ConeRegion | TubeRegion,
 
     height = lower = 0.0
     record_ok = all_exact = True
-    for rec in records:
-        hs = rec.heights_in(region)
-        if hs.size == 0:
-            continue
-        top = float(hs.max())
-        k0, l0 = int(rec.sites[0, 0]), int(rec.sites[0, 1])
-        lab = int(labels[l0 - window.l_min, k0 - window.k_min])
-        if cell_certified[lab]:
-            height = max(height, top)
-            lower = max(lower, top)
-            continue
-        record_ok = False
-        if _exact_at_record_time(state.arrivals, rec, window):
-            lower = max(lower, top)
-        else:
-            all_exact = False
+    if records:
+        # Every record's sites in one array: region heights (-inf outside
+        # the region), each record's top, and its first site's t_c cell.
+        sites = np.concatenate([rec.sites for rec in records])
+        starts = np.cumsum([0] + [rec.size for rec in records][:-1])
+        ls = sites[:, 1].astype(np.float64)
+        ys = SQRT3_2 * ls
+        inside = region_select(sites[:, 0] + 0.5 * ls, ys, region)
+        tops = np.maximum.reduceat(np.where(inside, ys, -np.inf), starts)
+        first = sites[starts]
+        ok = cell_certified[labels[first[:, 1] - window.l_min, first[:, 0] - window.k_min]]
+        for r in np.flatnonzero(tops > -np.inf).tolist():
+            top = float(tops[r])
+            if ok[r]:
+                height = max(height, top)
+                lower = max(lower, top)
+                continue
+            record_ok = False
+            if _exact_at_record_time(state.arrivals, records[r], window):
+                lower = max(lower, top)
+            else:
+                all_exact = False
     upper = lower if all_exact else SQRT3_2 * window.l_max
 
     certified = record_ok

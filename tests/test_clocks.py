@@ -138,6 +138,23 @@ def test_numpy_seeds_match_python_ints():
             assert np.array_equal(fn(given, window), fn(want, window))
 
 
+def test_numpy_scalar_seeds_match_python_ints_on_the_scalar_path():
+    # ``seed & MASK64`` overflowed on a numpy integer seed in the scalar
+    # chain, and so did ``base_seed & MASK64`` in derive_seed.
+    site = (1, 1)
+    for given, want in ((np.int64(5), 5), (np.int64(-3), -3),
+                        (np.uint64(2**64 - 1), 2**64 - 1)):
+        assert clocks.uniform(given, site, 0) == clocks.uniform(want, site, 0)
+        assert clocks.site_state(given, site) == clocks.site_state(want, site)
+        assert clocks.first_arrival_value(given, site) == \
+            clocks.first_arrival_value(want, site)
+        assert clocks.gap(given, site, 3) == clocks.gap(want, site, 3)
+        assert clocks.jumps_in(given, site, 0.0, 3.0) == clocks.jumps_in(want, site, 0.0, 3.0)
+        assert clocks.derive_seed(given, 1) == clocks.derive_seed(want, 1)
+        assert clocks.derive_seed(7, np.int64(1)) == clocks.derive_seed(7, 1)
+        assert type(clocks.derive_seed(given, 1)) is int
+
+
 def test_array_draws_leave_states_unchanged():
     # The fire loop draws several gaps from one state grid and from its
     # rows, so no draw may mix the states it reads in place.

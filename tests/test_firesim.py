@@ -15,7 +15,15 @@ from firelab.firesim import (
     height_of_destruction,
     run,
 )
-from firelab.lattice import TRI_STRUCTURE, ConeRegion, Window, neighbors
+from firelab.estimators import height_window
+from firelab.lattice import (
+    TRI_STRUCTURE,
+    ConeRegion,
+    TubeRegion,
+    Window,
+    neighbors,
+    region_select,
+)
 
 PHI = math.pi / 3
 SQ3 = math.sqrt(3.0)
@@ -153,15 +161,32 @@ def test_invariant_suite():
             assert failures == [], (seed, t_end)
 
 
-def test_runner_matches_naive_reference():
+def test_runner_matches_naive_reference(monkeypatch):
     """Records in order (time, ignition, site set) and final occupancy equal
     the definition-direct reference's, over windows of varied shape."""
     cases = [(Window(-5 - (i % 4), 5 + (i % 3), 0, 4 + (i % 4)),
               clocks.derive_seed(123456, i)) for i in range(300)]
+    # How often each site burns in one reference run: a site's third burn
+    # takes the run's scalar gaps (j >= 3), its first two the hashed ones.
+    most_burns = 0
+    naive_run = invariants.naive_run
+
+    def counting_naive_run(sites, seed, t_end):
+        nonlocal most_burns
+        occupied, records = naive_run(sites, seed, t_end)
+        burns = defaultdict(int)
+        for _, _, burnt in records:
+            for site in burnt:
+                burns[site] += 1
+        most_burns = max(most_burns, *burns.values(), 0)
+        return occupied, records
+
+    monkeypatch.setattr(invariants, "naive_run", counting_naive_run)
     for window, seed in cases:
         for t_end in (T_C, 0.5):
             _, failures = invariants.fire_run_failures(window, seed, t_end)
             assert failures == [], (window, seed, t_end)
+    assert most_burns >= 3
 
 
 def test_fire_run_failures_reports_corruptions(monkeypatch):
@@ -406,7 +431,6 @@ def test_certified_height_strict_edge_cluster():
 
     def edge_cluster_in_cone(seed):
         cells = decompose_cells(window, seed)
-        from firelab.lattice import region_select
         for cell in cells:
             if cell.certified:
                 continue
@@ -429,7 +453,6 @@ def test_certified_height_strict_monotone_under_window_growth():
     # Cap low enough that full certification of the stub is reachable.
     y_cap = 2 * SQ3 / 2
     from firelab.firesim import _decompose
-    from firelab.lattice import region_select
 
     def strict_ok(window, seed):
         labels, certified = _decompose(window, clocks.first_arrival_grid(seed, window))
@@ -479,6 +502,56 @@ def test_record_time_rule_exact_records_survive_window_doubling():
     assert exact > 0
     # The rule certifies records that the t_c cell rule leaves out.
     assert beyond_cell > 0
+
+
+def _per_record_bracket(window, seed, region, strict, cells_seen):
+    """``height_bracket`` as a loop over the records, each record's region
+    heights from ``heights_in``; adds the certified flag of every region
+    record's t_c cell to ``cells_seen``."""
+    state, records = run(window, seed, T_C)
+    labels, cell_certified = firesim._decompose(window, state.arrivals)
+    height = lower = 0.0
+    record_ok = all_exact = True
+    for rec in records:
+        hs = rec.heights_in(region)
+        if hs.size == 0:
+            continue
+        top = float(hs.max())
+        k0, l0 = int(rec.sites[0, 0]), int(rec.sites[0, 1])
+        lab = int(labels[l0 - window.l_min, k0 - window.k_min])
+        cells_seen.add(bool(cell_certified[lab]))
+        if cell_certified[lab]:
+            height = max(height, top)
+            lower = max(lower, top)
+            continue
+        record_ok = False
+        if firesim._exact_at_record_time(state.arrivals, rec, window):
+            lower = max(lower, top)
+        else:
+            all_exact = False
+    upper = lower if all_exact else SQ3 / 2 * window.l_max
+    certified = record_ok
+    if strict and certified:
+        rr, cc = np.nonzero(~cell_certified[labels] & (labels > 0))
+        ks, ls = cc + window.k_min, rr + window.l_min
+        certified = not region_select(ks + 0.5 * ls, SQ3 / 2 * ls, region).any()
+    return firesim.HeightBracket(height, certified, lower, upper)
+
+
+@pytest.mark.parametrize("height", [16, 24])
+def test_height_bracket_matches_per_record_loop(height):
+    window = height_window(height)
+    regions = (ConeRegion(0.0, PHI), ConeRegion(2.5, 0.8), TubeRegion(1.0, 1.2))
+    cells_seen = set()
+    for i in range(200):
+        seed = clocks.derive_seed(808, 500_000 + i)
+        for region in regions:
+            for strict in (False, True):
+                want = _per_record_bracket(window, seed, region, strict, cells_seen)
+                assert height_bracket(window, seed, region, strict) == want, \
+                    (seed, region, strict)
+    # Region records in certified and in uncertified t_c cells both occur.
+    assert cells_seen == {True, False}
 
 
 def test_two_state_check_matches_naive_run_on_the_igniters():
