@@ -44,6 +44,8 @@ COMMANDS = (
      "--phi", "0.8"),
     ("heights", "--region", "cone", "--heights-list", "48,96", "--samples",
      "200"),
+    ("onearm", "--seed", "5", "--samples", "200", "--n-list", "8,16,32",
+     "--phi", "0.25", "--half-plane", "false"),
 )
 
 

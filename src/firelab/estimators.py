@@ -619,7 +619,9 @@ def height_distribution(region, window_heights, samples: int, base_seed: int,
     """Empirical destruction-height distributions per window size.
 
     Sample i uses the same seed at every window size, so the distributions
-    are paired across sizes.
+    are paired across sizes.  Each window of a cone must hold the cone's
+    ``percolation.window_for_cone``; one that clips the cone raises
+    ``WindowTooSmallError`` before any sample runs.
     """
     if isinstance(region, ConeRegion):
         cx = region.apex_x
@@ -627,9 +629,12 @@ def height_distribution(region, window_heights, samples: int, base_seed: int,
         cx = region.x
     else:
         raise TypeError(f"unsupported region {region!r}")
+    windows = [height_window(int(h), width_factor, cx) for h in window_heights]
+    if isinstance(region, ConeRegion):
+        for window in windows:
+            percolation.check_window(window, region, True)
     out = []
-    for h in window_heights:
-        window = height_window(int(h), width_factor, cx)
+    for h, window in zip(window_heights, windows):
         seeds = [derive_seed(base_seed, 500_000 + i) for i in range(samples)]
         rows = _pmap(pool_map, partial(_sample_height, window=window,
                                        region=region, strict=strict), seeds)

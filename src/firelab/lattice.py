@@ -103,13 +103,6 @@ class Window:
         L, K = np.meshgrid(ls, ks, indexing="ij")
         return K + 0.5 * L, SQRT3_2 * L
 
-    def axial_grids(self) -> tuple[np.ndarray, np.ndarray]:
-        """Integer ``(K, L)`` meshgrids, shape (n_rows, n_cols)."""
-        ls = np.arange(self.l_min, self.l_max + 1, dtype=np.int64)
-        ks = np.arange(self.k_min, self.k_max + 1, dtype=np.int64)
-        L, K = np.meshgrid(ls, ks, indexing="ij")
-        return K, L
-
 
 @dataclass(frozen=True)
 class ConeRegion:
@@ -209,16 +202,6 @@ class RhombusSurface:
                 ax, ay, bx, by = clipped
             segs.append((ax, ay, bx, by))
         return segs
-
-    def bounding_box(self, half_plane: bool = False) -> tuple[float, float, float, float]:
-        """(x_min, x_max, y_min, y_max) over the (clipped) surface."""
-        xs, ys = [], []
-        for ax, ay, bx, by in self.segments(half_plane):
-            xs += [ax, bx]
-            ys += [ay, by]
-        if not xs:
-            raise ValueError("surface entirely below the half-plane")
-        return min(xs), max(xs), min(ys), max(ys)
 
 
 def _clip_segment_upper(ax, ay, bx, by):

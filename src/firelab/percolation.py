@@ -147,18 +147,33 @@ def first_connection_time(w: Site, target, window: Window, seed: int,
 
 @lru_cache(maxsize=256)
 def window_for_rhombus(center: Site, n: int, phi: float, half_plane: bool) -> Window:
-    """Smallest axial window covering the rhombus, its dist-1 band and PAD
-    extra sites in every direction (cached; ``Window`` is frozen)."""
-    surface = RhombusSurface(center, n, phi)
-    x0, x1, y0, y1 = surface.bounding_box(half_plane)
-    margin = 1.0 + PAD
-    l_lo = math.floor((y0 - margin) / SQRT3_2)
+    """The axial bounding box of the rhombus, clipped to l >= 0 on the half
+    plane, widened to hold every site within distance 1 + PAD of it
+    (cached; ``Window`` is frozen).
+
+    The box spans the axial coordinates l = y / SQRT3_2, k = x - l/2 of the
+    clipped surface's segment ends; a disc of radius r reaches r / SQRT3_2
+    in both k and l, so that is the widening.  On the half plane k <= x,
+    so k_max is also capped at max x + r; that only tightens the flattest
+    rhombi, under a row high.  The window is exact for a query from any
+    site inside the rhombus: the clipped rhombus is convex, so a 1-path
+    from w's neighbours stays inside it until it meets the dist-1 band,
+    and every site within distance 1 + PAD of the rhombus lies in the box.
+    """
+    ends = [p for ax, ay, bx, by in RhombusSurface(center, n, phi).segments(half_plane)
+            for p in ((ax, ay), (bx, by))]
+    if not ends:
+        raise ValueError("surface entirely below the half-plane")
+    ls = [y / SQRT3_2 for _, y in ends]
+    ks = [x - 0.5 * l for (x, _), l in zip(ends, ls)]
+    margin = (1.0 + PAD) / SQRT3_2
+    k_hi = max(ks) + margin
+    l_lo = math.floor(min(ls) - margin)
     if half_plane:
+        k_hi = min(k_hi, max(x for x, _ in ends) + 1.0 + PAD)
         l_lo = max(l_lo, 0)
-    l_hi = math.ceil((y1 + margin) / SQRT3_2)
-    k_lo = math.floor(x0 - margin - 0.5 * l_hi)
-    k_hi = math.ceil(x1 + margin - 0.5 * min(l_lo, 0))
-    return Window(k_lo, k_hi, l_lo, l_hi)
+    return Window(math.floor(min(ks) - margin), math.ceil(k_hi),
+                  l_lo, math.ceil(max(ls) + margin))
 
 
 def window_for_cone(cone: ConeRegion, l_top: int) -> Window:
@@ -208,11 +223,13 @@ def one_arm_indicator(n: int, t: float, phi: float, seed: int,
 # Ladder rungs: rhombi of half side n // RUNG_RATIO**i, down to MIN_RUNG.
 # A rung has roughly 1/16 of the next one's sites (more on small rungs,
 # where the padding counts), so a sample that climbs the whole ladder hashes
-# and labels 7-16% more sites than the full window alone (n = 16 ... 256).
+# and labels 8-18% more sites than the full window alone (n = 16 ... 256,
+# phi = pi/3, half plane).
 RUNG_RATIO = 4
 MIN_RUNG = 4
 # Sites in one hashed and labelled stack of a rung, unless a single seed's
-# rung is larger (n = 256's full window, 202,797 sites, goes alone).
+# rung is larger (n = 256's full window, 135,981 sites, goes one seed at a
+# time).
 MAX_STACK_SITES = 1 << 18
 
 

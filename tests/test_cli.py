@@ -251,6 +251,17 @@ def test_heights_summary(tmp_path):
     assert lo <= window["median_bracket"][0] <= window["median_bracket"][1] <= hi
 
 
+def test_heights_refuses_a_clipped_cone(tmp_path, capsys):
+    # At phi = 0.2 the cone's half-width at the top row, 68.4, exceeds
+    # height_window(16)'s reach: exit 2 and no run directory.
+    out = tmp_path / "h"
+    code = cli.main(["heights", "--phi", "0.2", "--heights-list", "16",
+                     "--samples", "20", "--seed", "3", "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert "too small for ConeRegion" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_passes_and_is_reproducible(tmp_path):
     out1, out2 = tmp_path / "v1", tmp_path / "v2"
     args = ["verify", "--seed", "6", "--verify-runs", "12"]

@@ -16,6 +16,14 @@ def uniform_grid(seed, window, j=0):
     return clocks._uniform_from_state(clocks.window_states(seed, window), j)
 
 
+def axial_grids(window):
+    """Integer ``(K, L)`` meshgrids of a window, shape (n_rows, n_cols)."""
+    ls = np.arange(window.l_min, window.l_max + 1, dtype=np.int64)
+    ks = np.arange(window.k_min, window.k_max + 1, dtype=np.int64)
+    L, K = np.meshgrid(ls, ks, indexing="ij")
+    return K, L
+
+
 def test_determinism():
     key = (1234, (5, -3))
     assert clocks.first_arrival_value(*key) == clocks.first_arrival_value(*key)
@@ -74,7 +82,7 @@ def _meshgrid_states(seed, window):
         x = (x ^ (x >> np.uint64(30))) * np.uint64(clocks.MIX_A)
         x = (x ^ (x >> np.uint64(27))) * np.uint64(clocks.MIX_B)
         return x ^ (x >> np.uint64(31))
-    K, L = window.axial_grids()
+    K, L = axial_grids(window)
     h = np.uint64(clocks.mix64((seed & clocks.MASK64) ^ clocks.GOLDEN))
     return mix(mix(h ^ K.astype(np.uint64)) ^ L.astype(np.uint64))
 
@@ -94,7 +102,7 @@ def test_factored_states_match_reference_chain(window):
     # The window's states mix k once per column and broadcast ^ l per row;
     # they must equal the chain over the full meshgrid and, through every
     # grid function, the written-out splitmix64 reference at each site.
-    K, L = window.axial_grids()
+    K, L = axial_grids(window)
     sites = list(zip(K.ravel().tolist(), L.ravel().tolist()))
     for seed in (0, 2**64 - 1, -3, 2718):
         states = clocks.window_states(seed, window)

@@ -524,6 +524,23 @@ def test_height_distribution_atom_at_zero():
     assert lo <= d.quantile(0.5) <= hi
 
 
+def test_height_distribution_refuses_a_clipped_cone(monkeypatch):
+    # At phi = 0.35 height_window(48) holds the cone's window_for_cone and
+    # height_window(16) does not; the clipped window is refused before the
+    # first sample at any height runs.
+    calls = []
+    monkeypatch.setattr(firesim, "height_bracket",
+                        lambda *args, **kwargs: calls.append(args))
+    cone = ConeRegion(0.0, 0.35)
+    percolation.check_window(estimators.height_window(48), cone, True)
+    for heights in ([16], [48, 16]):
+        with pytest.raises(percolation.WindowTooSmallError):
+            height_distribution(cone, heights, 5, base_seed=3)
+    with pytest.raises(percolation.WindowTooSmallError):
+        height_distribution(ConeRegion(0.0, 0.2), [16], 20, base_seed=3)
+    assert calls == []
+
+
 def test_height_distribution_deterministic():
     a = height_distribution(ConeRegion(0.0, PHI), [6], 50, base_seed=9)
     b = height_distribution(ConeRegion(0.0, PHI), [6], 50, base_seed=9)

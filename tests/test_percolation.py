@@ -8,8 +8,16 @@ import pytest
 from firelab import clocks, invariants, percolation
 from firelab.clocks import T_C
 from firelab.estimators import EventParams
-from firelab.lattice import ConeRegion, RhombusSurface, Window, neighbors
+from firelab.lattice import (
+    ConeRegion,
+    RhombusSurface,
+    Window,
+    embed,
+    neighbors,
+    seg_dist_sq_grid,
+)
 from firelab.percolation import (
+    PAD,
     WindowTooSmallError,
     check_window,
     first_connection_time,
@@ -55,7 +63,7 @@ def test_half_plane_window_above_row_zero():
     center = (0, 20)
     surface = RhombusSurface(center, 4, PHI)
     window = window_for_rhombus(center, 4, PHI, True)
-    assert window == Window(-13, 19, 12, 28)
+    assert window == Window(-8, 8, 12, 28)
     t = first_connection_time(center, surface, window, seed=5)
     assert t == 0.2864108264024276
     arrivals = clocks.first_arrival_grid(5, window)
@@ -138,6 +146,68 @@ def test_window_check_takes_the_targets_own_window(phi):
             for short in _short_windows(window):
                 with pytest.raises(WindowTooSmallError):
                     check_window(short, cone, half_plane)
+
+
+def _enlarged(window, half_plane, by=4):
+    """The window with ``by`` more sites on every side, l_min clamped at 0
+    on the half plane."""
+    l_min = window.l_min - by
+    return Window(window.k_min - by, window.k_max + by,
+                  max(l_min, 0) if half_plane else l_min, window.l_max + by)
+
+
+def _dist_to_clipped_rhombus(surface, window, half_plane):
+    """Euclidean distance from each window site to the rhombus region,
+    clipped to y >= 0 on the half plane: 0 inside, else the distance to
+    the polygon through the clipped surface's segment ends."""
+    X, Y = window.coord_grids()
+    cx, cy = embed(surface.center)
+    v = (Y - cy) / math.sin(surface.phi)
+    u = (X - cx) - v * math.cos(surface.phi)
+    inside = (np.abs(u) <= surface.n) & (np.abs(v) <= surface.n)
+    if half_plane:
+        inside &= Y >= 0.0
+    ends = [p for ax, ay, bx, by in surface.segments(half_plane)
+            for p in ((ax, ay), (bx, by))]
+    d2 = np.full(X.shape, np.inf)
+    for (ax, ay), (bx, by) in zip(ends, ends[1:] + ends[:1]):
+        d2 = np.minimum(d2, seg_dist_sq_grid(X, Y, ax, ay, bx, by))
+    return np.where(inside, 0.0, np.sqrt(d2))
+
+
+@pytest.mark.parametrize("phi", [0.25, PHI, 1.2])
+def test_rhombus_window_is_exact(phi):
+    # window_for_rhombus is the axial box of the clipped rhombus widened
+    # by 1 + PAD: it holds every site within 1 + PAD of the rhombus, and
+    # every query on it answers as on a window 4 sites larger all round.
+    answers = set()
+    for n, half, where in itertools.product((2, 5, 16), (True, False),
+                                            ("origin", "(2, 3)", "w")):
+        center = {"origin": (0, 0), "(2, 3)": (2, 3),
+                  "w": EventParams(n).w_site}[where]
+        surface = RhombusSurface(center, n, phi)
+        window = window_for_rhombus(center, n, phi, half)
+        big = _enlarged(window, half)
+        near = _dist_to_clipped_rhombus(surface, big, half) <= 1.0 + PAD
+        rows, cols = np.nonzero(near)
+        assert all(window.contains(big.site(r, c)) for r, c in zip(rows, cols))
+        for i in range(6):
+            seed = clocks.derive_seed(5150, 100 * n + i)
+            small_arrivals = clocks.first_arrival_grid(seed, window)
+            big_arrivals = clocks.first_arrival_grid(seed, big)
+            for t in (T_C - 0.2, T_C):
+                want = is_connected(center, surface, big, big_arrivals <= t, half)
+                assert is_connected(center, surface, window,
+                                    small_arrivals <= t, half) == want
+                if center == (0, 0):
+                    assert one_arm_indicator(n, t, phi, seed, half) == want
+                else:
+                    query = percolation._ladder_query(surface, [seed], half)
+                    assert bool(query(t)[0]) == want
+                answers.add(want)
+            assert first_connection_time(center, surface, window, seed, half) == \
+                first_connection_time(center, surface, big, seed, half)
+    assert answers == {True, False}
 
 
 def _brute_force_connected(w, target, window, occ, half_plane=True):
