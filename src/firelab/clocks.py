@@ -206,6 +206,16 @@ _GOLDEN = np.uint64(GOLDEN)
 _TOP_BITS = (1 << 53) - 1
 
 
+@lru_cache(maxsize=256)
+def _window_axes(window: Window) -> tuple[np.ndarray, np.ndarray]:
+    """A window's k and l ranges as read-only uint64 arrays (cached: a
+    ladder query hashes the same few windows over and over)."""
+    ks = np.arange(window.k_min, window.k_max + 1, dtype=np.int64).view(np.uint64)
+    ls = np.arange(window.l_min, window.l_max + 1, dtype=np.int64).view(np.uint64)
+    ks.flags.writeable = ls.flags.writeable = False
+    return ks, ls
+
+
 def first_arrival_bits(seed, window: Window) -> np.ndarray:
     """The 53-bit integers behind ``first_arrival_grid``: ``mix64(state +
     GOLDEN) >> 11`` of every window site, in ``first_arrival_grid``'s shape
@@ -221,8 +231,7 @@ def first_arrival_bits(seed, window: Window) -> np.ndarray:
     stack = isinstance(seed, (list, tuple, np.ndarray))
     seeds = list(seed) if stack else [seed]
     n_seeds, n_rows, n_cols = len(seeds), window.n_rows, window.n_cols
-    ks = np.arange(window.k_min, window.k_max + 1, dtype=np.int64).view(np.uint64)
-    ls = np.arange(window.l_min, window.l_max + 1, dtype=np.int64).view(np.uint64)
+    ks, ls = _window_axes(window)
     cols = ks ^ _seed_mixes(seeds)[:, None]
     _mix64_np(cols, np.empty_like(cols))
     out = np.empty((n_seeds, n_rows, n_cols), dtype=np.uint64)

@@ -3,9 +3,10 @@
 Estimates are deterministic functions of (parameters, base seed, samples):
 sample i runs under ``derive_seed(base_seed, i)``, and aggregation is an
 order-independent merge, so worker pools do not change results.  One-arm
-samples go to the pool in chunks of ONE_ARM_CHUNK seeds; a chunk climbs
-the window ladder together (engine 'auto' at every t), and each seed's
-indicator is the same in any chunk.
+and coupled proof-event samples go to the pool in chunks of SEED_CHUNK
+seeds; a chunk climbs the window ladder together (one-arm engine 'auto' at
+every t; the coupled sampler's thresholds, one per seed, on one query per
+chunk), and each seed's result is the same in any chunk.
 
 Event conventions for the proof events at a boundary site w = (ceil(x)+n, 0)
 with rhombus target S = surface(w, n, phi) clipped to the half-plane, and
@@ -38,7 +39,8 @@ and T < s exactly when w is connected at ``math.nextafter(s, -inf)``, the
 largest float below s.  B, C and D are therefore threshold queries with no
 search for T: C is "connected just below t_slice", B is "j_last exists
 and w is connected just below j_last", and D is B and not C.  The coupled
-sampler asks them on one window ladder (``percolation._ladder_query``).
+sampler asks them of one window-ladder query per chunk of seeds, one
+threshold per seed (``percolation._ladder_query``).
 The separate C and D estimators ask them of the full window's snapshot
 ``arrivals < s``, a second path for the coupled counts; only the reference
 ``percolation.first_connection_time`` searches for T.
@@ -49,7 +51,7 @@ Sample-wise, A implies B, C implies the connection part of B, and
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 from scipy import stats
@@ -176,14 +178,14 @@ def _pmap(pool_map, fn, items):
     return list((pool_map or map)(fn, items))
 
 
+# Seeds per work item of ``estimate_one_arm`` and ``coupled_event_stats``:
+# a chunk climbs the window ladder as one stack
+# (``percolation._ladder_query``), and no result depends on its size.
+SEED_CHUNK = 64
+
+
 # ---------------------------------------------------------------------------
 # One-arm probabilities and correlation length
-
-
-# Seeds per work item of ``estimate_one_arm``: a chunk climbs the window
-# ladder as one stack (``percolation.one_arm_indicators``), and the
-# successes do not depend on its size.
-ONE_ARM_CHUNK = 64
 
 
 def _sample_one_arm(seeds: list[int], n: int, t: float, phi: float,
@@ -200,7 +202,7 @@ def estimate_one_arm(n: int, t: float, phi: float, samples: int,
     if not 0.0 <= t <= T_C + 1e-12:
         raise ValueError("time must lie in [0, t_c]")
     seeds = [derive_seed(base_seed, i) for i in range(samples)]
-    chunks = [seeds[i:i + ONE_ARM_CHUNK] for i in range(0, samples, ONE_ARM_CHUNK)]
+    chunks = [seeds[i:i + SEED_CHUNK] for i in range(0, samples, SEED_CHUNK)]
     fn = partial(_sample_one_arm, n=n, t=t, phi=phi,
                  half_plane=half_plane, engine=engine)
     hits = sum(_pmap(pool_map, fn, chunks))
@@ -415,6 +417,14 @@ def event_a_window(params: EventParams) -> Window:
     return replace(win, k_max=max(win.k_max, params.w_site[0] + params.n + 4))
 
 
+@lru_cache(maxsize=64)
+def _event_a_query(params: EventParams) -> tuple:
+    """Event A's window, the grid indices of w's neighbours in it and the
+    cone's band, set up once per geometry (cached; read-only)."""
+    win = event_a_window(params)
+    return (win, *percolation._query(params.w_site, params.cone(), win, True))
+
+
 def _event_a(seed: int, params: EventParams, jumps: list[float]) -> bool:
     """One fire-process sample of the cone-connection event given w's clock
     jumps in (0, t_c], read off the destruction records of a run up to the
@@ -427,13 +437,12 @@ def _event_a(seed: int, params: EventParams, jumps: list[float]) -> bool:
     if all(clocks.first_arrival_value(seed, y) > j_last
            for y in ((w[0], 1), (w[0] - 1, 1))):
         return False
-    win, cone = event_a_window(params), params.cone()
+    win, starts, near_cone = _event_a_query(params)
     occ = clocks.first_arrival_bits(seed, win) <= clocks.arrival_bound(j_last)
     occ[0] = False
-    if not is_connected(w, cone, win, occ):
+    if not percolation._connects(occ, starts, near_cone):
         return False
     _, records = firesim.run(win, seed, t_end=j_last)
-    near_cone = percolation.target_mask(win, cone, True)
     for rec in records:
         ks, ls = rec.sites[:, 0], rec.sites[:, 1]
         at_w = (ls == 1) & ((ks == w[0]) | (ks == w[0] - 1))
@@ -451,27 +460,32 @@ class CoupledEventStats:
     violations: dict[str, int]
 
 
-def _sample_coupled(seed: int, params: EventParams, include_a: bool) -> tuple:
-    query = percolation._ladder_query(params.surface(), [seed], True)
+def _sample_coupled(seeds: list[int], params: EventParams,
+                    include_a: bool) -> list[tuple]:
+    """The rows (A, B, C, D, connected before t_c) of a chunk of seeds.
 
-    def connected(t: float) -> bool:
-        return bool(query(t)[0])
-
-    jumps = clocks.jumps_in(seed, params.w_site, 0.0, T_C)
-    j_last = jumps[-1] if jumps else None
-    conn = connected(_before(T_C))
-    c_ev = conn and connected(_before(params.slice_time))
-    if not conn or j_last is None:
-        b_ev = False
-    elif c_ev == (j_last > params.slice_time):
-        # Monotone in t: C with j_last > t_slice gives B; no C with
-        # j_last <= t_slice rules it out.
-        b_ev = c_ev
-    else:
-        b_ev = connected(_before(j_last))
-    d_ev = b_ev and not c_ev
-    a_ev = _event_a(seed, params, jumps) if include_a else False
-    return a_ev, b_ev, c_ev, d_ev, conn
+    B, C and D are asked of one ladder query for the chunk, one threshold
+    per seed: "connected just below t_c" of every seed, "just below
+    t_slice" of the seeds that connect, and "just below j_last" only where
+    C and j_last against t_slice leave B open.  NaN leaves a seed out.
+    """
+    query = percolation._ladder_query(params.surface(), seeds, True)
+    t_slice = params.slice_time
+    jumps = [clocks.jumps_in(seed, params.w_site, 0.0, T_C) for seed in seeds]
+    conn = query(_before(T_C)).tolist()
+    c_ev = query([_before(t_slice) if c else math.nan for c in conn]).tolist()
+    # Monotone in t: C with j_last > t_slice gives B; no C with
+    # j_last <= t_slice rules it out.  Only the rest ask j_last.
+    settled = [not (c and js) or c_s == (js[-1] > t_slice)
+               for c, c_s, js in zip(conn, c_ev, jumps)]
+    b_ev = query([math.nan if s else _before(js[-1])
+                  for s, js in zip(settled, jumps)]).tolist()
+    rows = []
+    for seed, js, c, c_s, s, b in zip(seeds, jumps, conn, c_ev, settled, b_ev):
+        if s:
+            b = bool(c and js and c_s)
+        rows.append((include_a and _event_a(seed, params, js), b, c_s, b and not c_s, c))
+    return rows
 
 
 def coupled_event_stats(params: EventParams, samples: int, base_seed: int,
@@ -483,8 +497,9 @@ def coupled_event_stats(params: EventParams, samples: int, base_seed: int,
     the benchmark's events-coupled oracle cross-check C and D.
     """
     seeds = [derive_seed(base_seed, i) for i in range(samples)]
-    rows = _pmap(pool_map, partial(_sample_coupled, params=params,
-                                   include_a=include_a), seeds)
+    chunks = [seeds[i:i + SEED_CHUNK] for i in range(0, samples, SEED_CHUNK)]
+    rows = [row for chunk in _pmap(pool_map, partial(
+        _sample_coupled, params=params, include_a=include_a), chunks) for row in chunk]
     counts = {"A": 0, "B": 0, "C": 0, "D": 0}
     violations = {"A=>B": 0, "C=>B": 0, "B&!C=>D": 0}
     for a_ev, b_ev, c_ev, d_ev, conn in rows:
@@ -619,8 +634,9 @@ def height_distribution(region, window_heights, samples: int, base_seed: int,
     """Empirical destruction-height distributions per window size.
 
     Sample i uses the same seed at every window size, so the distributions
-    are paired across sizes.  Each window of a cone must hold the cone's
-    ``percolation.window_for_cone``; one that clips the cone raises
+    are paired across sizes.  Each window must hold the region's own window
+    up to its top row, ``percolation.window_for_cone`` or
+    ``window_for_tube``; one that clips the region raises
     ``WindowTooSmallError`` before any sample runs.
     """
     if isinstance(region, ConeRegion):
@@ -630,9 +646,8 @@ def height_distribution(region, window_heights, samples: int, base_seed: int,
     else:
         raise TypeError(f"unsupported region {region!r}")
     windows = [height_window(int(h), width_factor, cx) for h in window_heights]
-    if isinstance(region, ConeRegion):
-        for window in windows:
-            percolation.check_window(window, region, True)
+    for window in windows:
+        percolation.check_window(window, region, True)
     out = []
     for h, window in zip(window_heights, windows):
         seeds = [derive_seed(base_seed, 500_000 + i) for i in range(samples)]

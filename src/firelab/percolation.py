@@ -22,6 +22,7 @@ from .lattice import (
     ConeRegion,
     RhombusSurface,
     Site,
+    TubeRegion,
     Window,
     half_plane_neighbors,
     near_cone_mask,
@@ -41,14 +42,17 @@ class WindowTooSmallError(ValueError):
 def check_window(window: Window, target, half_plane: bool) -> None:
     """Raise :class:`WindowTooSmallError` unless the window contains the
     target's own window, ``window_for_rhombus`` for a rhombus and
-    ``window_for_cone`` up to the window's top row for a cone, and, for a
-    half-plane query, has no rows below l = 0."""
+    ``window_for_cone`` or ``window_for_tube`` up to the window's top row
+    for a cone or a tube, and, for a half-plane query, has no rows below
+    l = 0."""
     if half_plane and window.l_min < 0:
         raise WindowTooSmallError(f"half-plane window {window} reaches below l = 0")
     if isinstance(target, RhombusSurface):
         need = window_for_rhombus(target.center, target.n, target.phi, half_plane)
     elif isinstance(target, ConeRegion):
         need = window_for_cone(target, window.l_max)
+    elif isinstance(target, TubeRegion):
+        need = window_for_tube(target, window.l_max)
     else:
         raise TypeError(f"unsupported target {target!r}")
     if not (window.k_min <= need.k_min and need.k_max <= window.k_max
@@ -189,6 +193,22 @@ def window_for_cone(cone: ConeRegion, l_top: int) -> Window:
     return Window(k_lo, k_hi, 0, l_top)
 
 
+def window_for_tube(tube: TubeRegion, l_top: int) -> Window:
+    """Half-plane window of rows 0..l_top covering the tube's cross-sections
+    on those rows, its dist-1 band and PAD extra sites on either side: the
+    points within r = 0.5 + 1 + PAD of the centreline.  Such a point lies
+    within r of a centreline point, so at most r beyond x on the side the
+    centreline does not go; and within r / sin(phi), horizontally, of the
+    centreline's line, whose x is x + y * cot(phi) at height y.
+    """
+    r = 0.5 + 1.0 + PAD
+    shift = l_top * SQRT3_2 * math.cos(tube.phi) / math.sin(tube.phi)
+    reach = r / math.sin(tube.phi)
+    k_lo = math.floor(tube.x + min(-r, shift - reach) - 0.5 * l_top)
+    k_hi = math.ceil(tube.x + max(r, shift + reach))
+    return Window(k_lo, k_hi, 0, l_top)
+
+
 def one_arm_indicators(n: int, t: float, phi: float, seeds,
                        half_plane: bool = True, engine: str = "auto") -> np.ndarray:
     """Bernoulli samples of the one-arm event for the origin, one per seed,
@@ -229,7 +249,7 @@ RUNG_RATIO = 4
 MIN_RUNG = 4
 # Sites in one hashed and labelled stack of a rung, unless a single seed's
 # rung is larger (n = 256's full window, 135,981 sites, goes one seed at a
-# time).
+# time); also the most hashed sites a ladder query keeps between calls.
 MAX_STACK_SITES = 1 << 18
 
 
@@ -237,7 +257,10 @@ def _ladder_query(surface: RhombusSurface, seeds, half_plane: bool):
     """``connected(t)``: for each seed, ``is_connected`` for the rhombus
     centre on the snapshot at time t of the full window,
     ``window_for_rhombus`` of the surface, as a bool array, each decided on
-    the smallest rung of a window ladder that settles it.
+    the smallest rung of a window ladder that settles it.  ``t`` is one
+    time for all seeds or a sequence of one time per seed; a seed whose
+    time holds no site (``arrival_bound`` -1: NaN, or <= 0) answers False
+    without hashing, so NaN leaves a seed out of a call.
 
     Rung m is ``window_for_rhombus(centre, m, ...)`` for m = n/4, n/16, ...
     >= MIN_RUNG, smallest first, then the full window; the rungs nest.  A
@@ -246,42 +269,62 @@ def _ladder_query(surface: RhombusSurface, seeds, half_plane: bool):
     the full window, so one that meets the target band decides True.  One
     that touches no rung edge the full window extends past is a whole
     cluster, so when none meets the band the answer is False.  On each rung
-    the seeds still undecided are hashed as one (seeds, rows, cols) stack of
-    at most MAX_STACK_SITES sites and labelled plane by plane in one call;
-    the seeds it decides drop out before the next rung.  A rung keeps the
-    integer hash bits, and the snapshot at t is ``bits <= arrival_bound(t)``,
-    equal to ``first_arrival_grid(...) <= t``.  A query of one seed, the
-    only kind asked more than one threshold, hashes each rung once, on first
-    use, and keeps it; every threshold labels its own snapshot of it.
+    the seeds still undecided form (seeds, rows, cols) stacks of at most
+    MAX_STACK_SITES sites, each labelled plane by plane in one call on
+    ``bits <= q[:, None, None]``, with q the seeds' ``arrival_bound`` of
+    their times, equal to ``first_arrival_grid(...) <= t``; the seeds a rung
+    decides drop out before the next rung.  One seed is hashed and labelled
+    as a plain grid.
+
+    The query keeps hashed bits between calls: a group of seeds asked again
+    on a rung where all of them have kept bits is not hashed again.  It
+    keeps a stack, or one seed's grid, of at most one hashing block
+    (``clocks._BLOCK_SITES`` sites) while all it keeps stays within
+    MAX_STACK_SITES sites.  Larger bits are compared and dropped before
+    they are labelled: holding a large array across the labelling slows
+    every large query, and one-arm queries are asked only once.
     """
     rungs = _ladder(surface, half_plane)
     seeds = list(seeds)
-    kept: dict[int, np.ndarray] = {}  # a one-seed query's bits, by rung
+    kept = {}  # per rung: hashed bits by seed index
+    room = MAX_STACK_SITES  # sites the query may still keep
 
-    def bits(rung: int, group: list[int]) -> np.ndarray:
-        if rung in kept:
-            return kept[rung]
-        # One seed is hashed and labelled as a plain grid: cheaper per
-        # call, and the decisions below read it as a stack of one.
-        picked = [seeds[i] for i in group]
-        stack = clocks.first_arrival_bits(
-            picked if len(picked) > 1 else picked[0], rungs[rung][0])
-        if len(seeds) == 1:
-            kept[rung] = stack
-        return stack
+    def occupancy(rung: int, group: list[int], q) -> np.ndarray:
+        """The group's occupancy on the rung at q, a grid for one seed, else
+        a stack: from kept bits if every seed of the group has them, else
+        from fresh bits, kept if they fit."""
+        nonlocal room
+        have = kept.setdefault(rung, {})
+        if have and all(i in have for i in group):
+            bits = np.stack([have[i] for i in group]) if len(group) > 1 else have[group[0]]
+        else:
+            picked = [seeds[i] for i in group]
+            bits = clocks.first_arrival_bits(
+                picked if len(picked) > 1 else picked[0], rungs[rung][0])
+            if bits.size <= min(room, clocks._BLOCK_SITES):
+                room -= bits.size
+                have.update(zip(group, bits if bits.ndim == 3 else [bits]))
+        if isinstance(q, int):
+            return bits <= q
+        return bits <= (q[group][:, None, None] if bits.ndim == 3 else q[group[0]])
 
-    def connected(t: float) -> np.ndarray:
+    def connected(t) -> np.ndarray:
         out = np.zeros(len(seeds), dtype=bool)
-        q = clocks.arrival_bound(t)
-        if q < 0:  # no site is occupied
-            return out
-        todo = list(range(len(seeds)))
+        if not isinstance(t, (list, tuple, np.ndarray)):
+            q = clocks.arrival_bound(t)
+            todo = list(range(len(seeds))) if q >= 0 else []
+        else:
+            bounds = np.array([clocks.arrival_bound(s) for s in t], dtype=np.int64)
+            if bounds.size != len(seeds):
+                raise ValueError(f"{bounds.size} times for {len(seeds)} seeds")
+            todo = np.flatnonzero(bounds >= 0).tolist()
+            q = bounds.clip(0).astype(np.uint64)
         for rung, (sub, starts, watched, n_band) in enumerate(rungs):
             step = max(1, MAX_STACK_SITES // sub.n_sites)
             undecided = []
             for g in range(0, len(todo), step):
                 group = todo[g:g + step]
-                labels, is_start = _start_clusters(bits(rung, group) <= q, starts)
+                labels, is_start = _start_clusters(occupancy(rung, group, q), starts)
                 seen = is_start[labels.reshape(len(group), -1).take(watched, axis=1)]
                 hit = seen[:, :n_band].any(axis=1).tolist()
                 on_edge = seen[:, n_band:].any(axis=1).tolist()

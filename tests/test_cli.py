@@ -262,6 +262,18 @@ def test_heights_refuses_a_clipped_cone(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_heights_refuses_a_clipped_tube(tmp_path, capsys):
+    # At phi = 0.2 the tube's centreline sits at x = 68.4 on the top row,
+    # beyond height_window(16)'s reach: exit 2 and no run directory.
+    out = tmp_path / "h"
+    code = cli.main(["heights", "--region", "tube", "--phi", "0.2",
+                     "--heights-list", "16", "--samples", "20", "--seed", "3",
+                     "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert "too small for TubeRegion" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_passes_and_is_reproducible(tmp_path):
     out1, out2 = tmp_path / "v1", tmp_path / "v2"
     args = ["verify", "--seed", "6", "--verify-runs", "12"]
@@ -314,6 +326,13 @@ def test_threads_do_not_change_results(tmp_path, monkeypatch):
     assert cli.main(args + ["--out", str(out3)]) == EXIT_OK
     assert file_hash(out1 / "onearm.csv") == file_hash(out2 / "onearm.csv")
     assert file_hash(out1 / "onearm.csv") == file_hash(out3 / "onearm.csv")
+    # The coupled sampler's chunks go through the pool too.
+    events = ["events", "--n-list", "8,12"]
+    ev1, ev2 = tmp_path / "e1", tmp_path / "e2"
+    assert cli.main(events + ["--out", str(ev1), "--threads", "1"]) == EXIT_OK
+    assert cli.main(events + ["--out", str(ev2), "--threads", "2"]) == EXIT_OK
+    for name in ("events.csv", "events_report.json"):
+        assert file_hash(ev1 / name) == file_hash(ev2 / name)
 
 
 def test_format_config_round_trips():

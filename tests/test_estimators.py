@@ -126,7 +126,7 @@ def test_one_arm_successes_do_not_depend_on_chunk_size(monkeypatch):
         counts = []
         for chunk, stack_sites in ((1, None), (2, None), (samples, None), (samples, 4000)):
             with monkeypatch.context() as m:
-                m.setattr(estimators, "ONE_ARM_CHUNK", chunk)
+                m.setattr(estimators, "SEED_CHUNK", chunk)
                 if stack_sites:
                     m.setattr(percolation, "MAX_STACK_SITES", stack_sites)
                 hashed.clear()
@@ -301,13 +301,15 @@ def _bisection_reference(seed, params, include_a):
 def test_coupled_sampler_matches_bisection_reference(n, include_a):
     # The threshold queries give the bisection's events sample for sample,
     # on seeds with no jump of w's clock before t_c, with j_last <= t_slice
-    # and with j_last > t_slice.
+    # and with j_last > t_slice, asked one seed at a time and as one chunk.
     params = EventParams(n)
     kinds = set()
-    for i in range(400):
-        seed = clocks.derive_seed(1212, 1000 * n + i)
+    seeds = [clocks.derive_seed(1212, 1000 * n + i) for i in range(400)]
+    wants = []
+    for i, seed in enumerate(seeds):
         want = _bisection_reference(seed, params, include_a)
-        assert estimators._sample_coupled(seed, params, include_a) == want, i
+        wants.append(want)
+        assert estimators._sample_coupled([seed], params, include_a)[0] == want, i
         assert estimators._sample_event_c(seed, params) == want[2], i
         assert estimators._sample_event_d(seed, params) == want[3], i
         jumps = clocks.jumps_in(seed, params.w_site, 0.0, T_C)
@@ -315,6 +317,7 @@ def test_coupled_sampler_matches_bisection_reference(n, include_a):
                   "late jump" if jumps[-1] > params.slice_time else "early jump")
         kinds.update(k for k, hit in zip("ABCD", want) if hit)
     assert {"no jump", "early jump", "late jump", "B", "C"} <= kinds
+    assert estimators._sample_coupled(seeds, params, include_a) == wants
 
 
 def test_coupled_sampler_ties_follow_strict_convention(monkeypatch):
@@ -336,19 +339,59 @@ def test_coupled_sampler_ties_follow_strict_convention(monkeypatch):
             m.setattr(EventParams, "slice_time", property(lambda self, t=t: t))
             want = _bisection_reference(seed, params, False)
             assert not want[2]
-            assert estimators._sample_coupled(seed, params, False) == want
+            assert estimators._sample_coupled([seed], params, False)[0] == want
             assert estimators._sample_event_c(seed, params) == want[2]
             assert estimators._sample_event_d(seed, params) == want[3]
         with monkeypatch.context() as m:
             m.setattr(clocks, "jumps_in", lambda *args, t=t: [t])
             want = _bisection_reference(seed, params, False)
             assert not want[1]
-            assert estimators._sample_coupled(seed, params, False) == want
+            assert estimators._sample_coupled([seed], params, False)[0] == want
         with monkeypatch.context() as m:
             m.setattr(estimators, "T_C", t)
             want = _bisection_reference(seed, params, False)
             assert not want[4]
-            assert estimators._sample_coupled(seed, params, False) == want
+            assert estimators._sample_coupled([seed], params, False)[0] == want
+    # One chunk of all the tied seeds, each with its last jump at its own T.
+    ties = dict(tied[:20])
+    with monkeypatch.context() as m:
+        m.setattr(clocks, "jumps_in", lambda seed, *args: [ties[seed]])
+        wants = [_bisection_reference(seed, params, False) for seed in ties]
+        assert not any(want[1] for want in wants)
+        assert estimators._sample_coupled(list(ties), params, False) == wants
+
+
+@pytest.mark.parametrize("include_a", [False, True])
+@pytest.mark.parametrize("n", [8, 16, 32])
+def test_coupled_counts_do_not_depend_on_chunk_size(n, include_a, monkeypatch):
+    # Chunks of 1, 3 and 8 seeds and one chunk of all seeds give the same
+    # counts and violations; in the big chunk, some seeds are asked j_last.
+    samples = 400
+    asked = []
+    ladder_query = percolation._ladder_query
+
+    def recording(surface, seeds, half_plane):
+        connected = ladder_query(surface, seeds, half_plane)
+
+        def counted(t):
+            asked.append(t)
+            return connected(t)
+        return counted
+
+    monkeypatch.setattr(percolation, "_ladder_query", recording)
+    results = []
+    for chunk in (1, 3, 8, samples):
+        with monkeypatch.context() as m:
+            m.setattr(estimators, "SEED_CHUNK", chunk)
+            asked.clear()
+            stats = coupled_event_stats(EventParams(n), samples, 2424, include_a)
+        results.append(({k: e.successes for k, e in stats.estimates.items()},
+                         stats.violations))
+    assert len(asked) == 3, n  # t_c, t_slice and some j_last, all per seed
+    assert all(r == results[0] for r in results), (n, results)
+    counts = results[0][0]
+    assert counts["B"] > 0 and counts["C"] > 0 and counts["D"] > 0, counts
+    assert (counts["A"] > 0) == include_a, counts
 
 
 def test_coupled_event_implications():

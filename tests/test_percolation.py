@@ -11,6 +11,7 @@ from firelab.estimators import EventParams
 from firelab.lattice import (
     ConeRegion,
     RhombusSurface,
+    TubeRegion,
     Window,
     embed,
     neighbors,
@@ -25,6 +26,7 @@ from firelab.percolation import (
     one_arm_indicator,
     window_for_cone,
     window_for_rhombus,
+    window_for_tube,
 )
 
 PHI = math.pi / 3
@@ -146,6 +148,25 @@ def test_window_check_takes_the_targets_own_window(phi):
             for short in _short_windows(window):
                 with pytest.raises(WindowTooSmallError):
                     check_window(short, cone, half_plane)
+
+
+@pytest.mark.parametrize("phi", [0.2, PHI, 1.2, 2.5])
+def test_tube_window_holds_the_tube_band(phi):
+    # window_for_tube holds every site of rows 0..l_top within 0.5 + 1 +
+    # PAD of the tube's centreline; check_window accepts it as it is and
+    # refuses it one column short on either side or a row above its own.
+    for x, l_top in itertools.product((0.0, 2.5, -3.2), (1, 8, 17, 64)):
+        tube = TubeRegion(x, phi)
+        window = window_for_tube(tube, l_top)
+        assert (window.l_min, window.l_max) == (0, l_top)
+        big = Window(window.k_min - 40, window.k_max + 40, 0, l_top)
+        near = [site for site in big.sites()
+                if tube.distance_to_centerline(*embed(site)) <= 0.5 + 1.0 + PAD]
+        assert near and all(window.contains(site) for site in near)
+        check_window(window, tube, True)
+        for short in _short_windows(window):
+            with pytest.raises(WindowTooSmallError):
+                check_window(short, tube, True)
 
 
 def _enlarged(window, half_plane, by=4):
@@ -434,6 +455,64 @@ def test_ladder_query_thresholds_match_full_snapshot(where, monkeypatch):
             assert len(hashed) == len(set(hashed))
             flips += any(want) and not all(want)
     assert flips >= 10
+
+
+def test_ladder_query_per_seed_thresholds(monkeypatch):
+    # One threshold per seed, mixing t_c-, t_slice- and j_last- with NaN,
+    # zero and negative entries, answers as a one-seed query per seed at a
+    # single time; the entries that hold no site hash nothing, and across
+    # a query's calls these seeds are hashed again on a rung only when the
+    # stack they were first hashed in was too large to keep.
+    hashed = []
+    first_arrival_bits = clocks.first_arrival_bits
+
+    def recording(seed, window):
+        bits = first_arrival_bits(seed, window)
+        hashed.extend((s, window, bits.size) for s in
+                      (seed if isinstance(seed, list) else [seed]))
+        return bits
+
+    def before(t):
+        return math.nextafter(t, -math.inf)
+
+    rng = random.Random(9)
+    for n in (8, 16, 32):
+        params = EventParams(n)
+        surface = params.surface()
+        seeds = [clocks.derive_seed(6161, 1000 * n + i) for i in range(60)]
+        j_lasts = [(clocks.jumps_in(s, params.w_site, 0.0, T_C) or [math.nan])[-1]
+                   for s in seeds]
+        rounds = [[before(T_C)] * len(seeds),
+                  [before(params.slice_time)] * len(seeds),
+                  [before(j) for j in j_lasts]]
+        rounds.append([rng.choice((before(T_C), before(params.slice_time), before(j),
+                                   math.nan, 0.0, -1.0))
+                       for j in j_lasts])
+        wants = [[bool(percolation._ladder_query(surface, [s], True)(t)[0])
+                  for s, t in zip(seeds, ts)] for ts in rounds]
+        assert {True, False} <= set(itertools.chain(*wants)), n
+        with monkeypatch.context() as m:
+            m.setattr(clocks, "first_arrival_bits", recording)
+            hashed.clear()
+            query = percolation._ladder_query(surface, seeds, True)
+            for ts, want in zip(rounds[:3], wants):
+                assert query(ts).tolist() == want, n
+            first = {}  # the size of the stack a seed was first hashed in
+            for s, window, size in hashed:
+                if (s, window) in first:
+                    assert first[s, window] > clocks._BLOCK_SITES, n
+                first.setdefault((s, window), size)
+            if n == 8:  # one rung, one stack of 60 x 325 sites, kept
+                assert len(hashed) == len(seeds)
+            hashed.clear()
+            query = percolation._ladder_query(surface, seeds, True)
+            assert query(rounds[3]).tolist() == wants[3], n
+            skipped = {s for s, t in zip(seeds, rounds[3]) if not t > 0}
+            assert skipped and not skipped & {s for s, _, _ in hashed}, n
+            hashed.clear()
+            query = percolation._ladder_query(surface, seeds, True)
+            assert not query([math.nan, 0.0, -1.0] * 20).any()
+            assert hashed == []
 
 
 def test_half_plane_implies_full_plane_samplewise():
