@@ -410,19 +410,12 @@ def estimate_event_D(params: EventParams, samples: int, base_seed: int,
     return make_estimate(hits, samples)
 
 
+@lru_cache(maxsize=64)
 def event_a_window(params: EventParams) -> Window:
     """The cone's window up to row max(8, 2n), widened to column
-    k_w + n + 4 to hold the w site."""
+    k_w + n + 4 to hold the w site (cached per geometry)."""
     win = percolation.window_for_cone(params.cone(), max(8, 2 * params.n))
     return replace(win, k_max=max(win.k_max, params.w_site[0] + params.n + 4))
-
-
-@lru_cache(maxsize=64)
-def _event_a_query(params: EventParams) -> tuple:
-    """Event A's window, the grid indices of w's neighbours in it and the
-    cone's band, set up once per geometry (cached; read-only)."""
-    win = event_a_window(params)
-    return (win, *percolation._query(params.w_site, params.cone(), win, True))
 
 
 def _event_a(seed: int, params: EventParams, jumps: list[float]) -> bool:
@@ -437,12 +430,13 @@ def _event_a(seed: int, params: EventParams, jumps: list[float]) -> bool:
     if all(clocks.first_arrival_value(seed, y) > j_last
            for y in ((w[0], 1), (w[0] - 1, 1))):
         return False
-    win, starts, near_cone = _event_a_query(params)
+    win, cone = event_a_window(params), params.cone()
     occ = clocks.first_arrival_bits(seed, win) <= clocks.arrival_bound(j_last)
     occ[0] = False
-    if not percolation._connects(occ, starts, near_cone):
+    if not is_connected(w, cone, win, occ):
         return False
     _, records = firesim.run(win, seed, t_end=j_last)
+    near_cone = percolation.target_mask(win, cone, True)
     for rec in records:
         ks, ls = rec.sites[:, 0], rec.sites[:, 1]
         at_w = (ls == 1) & ((ks == w[0]) | (ks == w[0] - 1))

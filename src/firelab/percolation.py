@@ -73,14 +73,16 @@ def target_mask(window: Window, target, half_plane: bool) -> np.ndarray:
     raise TypeError(f"unsupported target {target!r}")
 
 
+@lru_cache(maxsize=64)
 def _query(w: Site, target, window: Window, half_plane: bool):
     """Per-query setup: the window check, the grid indices of w's
     neighbours in the window as a (rows, cols) pair of arrays and the
-    target band."""
+    target band (cached per query geometry; read-only)."""
     check_window(window, target, half_plane)
     ys = half_plane_neighbors(w) if half_plane else neighbors(w)
     starts = np.array([window.index(y) for y in ys if window.contains(y)],
                       dtype=np.intp).reshape(-1, 2).T
+    starts.flags.writeable = False
     return starts, target_mask(window, target, half_plane)
 
 
@@ -249,8 +251,13 @@ RUNG_RATIO = 4
 MIN_RUNG = 4
 # Sites in one hashed and labelled stack of a rung, unless a single seed's
 # rung is larger (n = 256's full window, 135,981 sites, goes one seed at a
-# time); also the most hashed sites a ladder query keeps between calls.
+# time).
 MAX_STACK_SITES = 1 << 18
+# Most sites of hashed bits (one seed's grid or one stack) a ladder query
+# keeps for its later calls.  Larger bits are compared and dropped before
+# labelling: keeping stacks up to MAX_STACK_SITES held n = 128 and 256
+# stacks across the labelling and cost one-arm queries about 5%.
+KEEP_SITES = 1 << 15
 
 
 def _ladder_query(surface: RhombusSurface, seeds, half_plane: bool):
@@ -272,28 +279,24 @@ def _ladder_query(surface: RhombusSurface, seeds, half_plane: bool):
     the seeds still undecided form (seeds, rows, cols) stacks of at most
     MAX_STACK_SITES sites, each labelled plane by plane in one call on
     ``bits <= q[:, None, None]``, with q the seeds' ``arrival_bound`` of
-    their times, equal to ``first_arrival_grid(...) <= t``; the seeds a rung
+    their times, equal to ``first_arrival_grid(...) <= t`` (``bits <= q``
+    with one int when the stack's seeds share a bound); the seeds a rung
     decides drop out before the next rung.  One seed is hashed and labelled
     as a plain grid.
 
     The query keeps hashed bits between calls: a group of seeds asked again
     on a rung where all of them have kept bits is not hashed again.  It
-    keeps a stack, or one seed's grid, of at most one hashing block
-    (``clocks._BLOCK_SITES`` sites) while all it keeps stays within
-    MAX_STACK_SITES sites.  Larger bits are compared and dropped before
-    they are labelled: holding a large array across the labelling slows
-    every large query, and one-arm queries are asked only once.
+    keeps a stack, or one seed's grid, of at most KEEP_SITES sites; larger
+    bits are compared and dropped before they are labelled.
     """
     rungs = _ladder(surface, half_plane)
     seeds = list(seeds)
     kept = {}  # per rung: hashed bits by seed index
-    room = MAX_STACK_SITES  # sites the query may still keep
 
-    def occupancy(rung: int, group: list[int], q) -> np.ndarray:
-        """The group's occupancy on the rung at q, a grid for one seed, else
-        a stack: from kept bits if every seed of the group has them, else
-        from fresh bits, kept if they fit."""
-        nonlocal room
+    def occupancy(rung: int, group: list[int], q: list[int]) -> np.ndarray:
+        """The group's occupancy on the rung at the seeds' bounds q, a grid
+        for one seed, else a stack: from kept bits if every seed of the
+        group has them, else from fresh bits, kept if they fit."""
         have = kept.setdefault(rung, {})
         if have and all(i in have for i in group):
             bits = np.stack([have[i] for i in group]) if len(group) > 1 else have[group[0]]
@@ -301,24 +304,22 @@ def _ladder_query(surface: RhombusSurface, seeds, half_plane: bool):
             picked = [seeds[i] for i in group]
             bits = clocks.first_arrival_bits(
                 picked if len(picked) > 1 else picked[0], rungs[rung][0])
-            if bits.size <= min(room, clocks._BLOCK_SITES):
-                room -= bits.size
+            if bits.size <= KEEP_SITES:
                 have.update(zip(group, bits if bits.ndim == 3 else [bits]))
-        if isinstance(q, int):
-            return bits <= q
-        return bits <= (q[group][:, None, None] if bits.ndim == 3 else q[group[0]])
+        bounds = {q[i] for i in group}
+        if len(bounds) == 1:  # twice as fast as comparing plane by plane
+            return bits <= bounds.pop()
+        return bits <= np.array([q[i] for i in group], dtype=np.uint64)[:, None, None]
 
     def connected(t) -> np.ndarray:
         out = np.zeros(len(seeds), dtype=bool)
-        if not isinstance(t, (list, tuple, np.ndarray)):
-            q = clocks.arrival_bound(t)
-            todo = list(range(len(seeds))) if q >= 0 else []
+        if isinstance(t, (list, tuple, np.ndarray)):
+            q = [clocks.arrival_bound(s) for s in t]
         else:
-            bounds = np.array([clocks.arrival_bound(s) for s in t], dtype=np.int64)
-            if bounds.size != len(seeds):
-                raise ValueError(f"{bounds.size} times for {len(seeds)} seeds")
-            todo = np.flatnonzero(bounds >= 0).tolist()
-            q = bounds.clip(0).astype(np.uint64)
+            q = [clocks.arrival_bound(t)] * len(seeds)
+        if len(q) != len(seeds):
+            raise ValueError(f"{len(q)} times for {len(seeds)} seeds")
+        todo = [i for i, b in enumerate(q) if b >= 0]
         for rung, (sub, starts, watched, n_band) in enumerate(rungs):
             step = max(1, MAX_STACK_SITES // sub.n_sites)
             undecided = []

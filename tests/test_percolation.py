@@ -500,7 +500,7 @@ def test_ladder_query_per_seed_thresholds(monkeypatch):
             first = {}  # the size of the stack a seed was first hashed in
             for s, window, size in hashed:
                 if (s, window) in first:
-                    assert first[s, window] > clocks._BLOCK_SITES, n
+                    assert first[s, window] > percolation.KEEP_SITES, n
                 first.setdefault((s, window), size)
             if n == 8:  # one rung, one stack of 60 x 325 sites, kept
                 assert len(hashed) == len(seeds)
