@@ -46,6 +46,9 @@ COMMANDS = (
      "200"),
     ("onearm", "--seed", "5", "--samples", "200", "--n-list", "8,16,32",
      "--phi", "0.25", "--half-plane", "false"),
+    # Samples mapped over a worker pool (Pool.map), not the builtin map.
+    ("heights", "--region", "cone", "--heights-list", "8,12", "--samples",
+     "60", "--threads", "2"),
 )
 
 

@@ -306,26 +306,6 @@ def _estimate_row(n, est) -> tuple:
     return (n, est.point, est.ci_low, est.ci_high, est.n_samples)
 
 
-class _PoolMap:
-    """map() over a process pool; plain map when threads == 1."""
-
-    def __init__(self, threads: int):
-        self.threads = threads
-        self.pool = Pool(threads) if threads > 1 else None
-
-    def __call__(self, fn, items):
-        items = list(items)
-        if self.pool is None:
-            return list(map(fn, items))
-        chunk = max(1, len(items) // (4 * self.threads))
-        return self.pool.map(fn, items, chunksize=chunk)
-
-    def close(self):
-        if self.pool is not None:
-            self.pool.close()
-            self.pool.join()
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -581,7 +561,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    pool_map = None
+    pool = None
     try:
         if args.command == "simulate":
             return cmd_simulate(config)
@@ -590,8 +570,10 @@ def main(argv=None) -> int:
         # Only the Monte-Carlo commands map samples over a worker pool.
         pooled = {"onearm": cmd_onearm, "xiscan": cmd_xiscan,
                   "events": cmd_events, "heights": cmd_heights}
-        pool_map = _PoolMap(config.resolved_threads())
-        return pooled[args.command](config, pool_map)
+        threads = config.resolved_threads()
+        pool = Pool(threads) if threads > 1 else None
+        # Without a pool, estimators map the samples with the builtin map.
+        return pooled[args.command](config, pool.map if pool else None)
     except FitError as exc:
         print(f"degenerate fit: {exc}", file=sys.stderr)
         return EXIT_FIT
@@ -603,8 +585,9 @@ def main(argv=None) -> int:
         traceback.print_exc()
         return EXIT_RUNTIME
     finally:
-        if pool_map is not None:
-            pool_map.close()
+        if pool is not None:
+            pool.close()
+            pool.join()
 
 
 if __name__ == "__main__":

@@ -3,9 +3,9 @@
 Every site owns an independent clock.  The j-th uniform of site ``(k, l)``
 under a run seed is a pure hash of ``(seed, k, l, j)`` (splitmix64 output
 function over a mixed per-site state), so any site's clock is available in
-O(1) without storing the field.  ``site_state`` and ``gap_from_state`` split
-that chain, on one site or on arrays of sites: a caller that draws many gaps
-of one site mixes its state once.  Inter-arrival gaps are Exponential(1) via
+O(1) without storing the field.  ``window_states`` and ``gap_from_state``
+split that chain on a window's sites: a caller that draws many gaps of one
+site mixes its state once.  Inter-arrival gaps are Exponential(1) via
 inversion; jump lists are cumulative gap sums, generated lazily and
 consistent under horizon extension.
 
@@ -81,33 +81,37 @@ def _seed_mixes(seeds) -> np.ndarray:
     return np.array([mix64((int(s) & MASK64) ^ GOLDEN) for s in seeds], dtype=np.uint64)
 
 
-def site_state(seed, site):
-    """Base state of a site's stream; sequential mixing keeps streams
-    uncorrelated.  ``site`` is one ``(k, l)`` pair, or a pair of int arrays
-    that broadcast together (then the states are a uint64 array of the
-    broadcast shape, and ``k`` is mixed at its own shape: a row of columns
-    is mixed once, not once per row).  With arrays, ``seed`` may be a
-    sequence of seeds; the states then gain a leading seed axis."""
-    k, l = site
-    if not isinstance(k, np.ndarray):
-        return _scalar_state(int(seed), k, l)
-    if isinstance(seed, (list, tuple, np.ndarray)):
-        seed_mix = _seed_mixes(seed).reshape((-1,) + (1,) * max(k.ndim, l.ndim))
-    else:
-        seed_mix = np.uint64(mix64((int(seed) & MASK64) ^ GOLDEN))
-    h = k.astype(np.uint64) ^ seed_mix
-    h = _mix64_np(h, np.empty_like(h)) ^ l.astype(np.uint64)
-    return _mix64_np(h, np.empty_like(h))
+@lru_cache(maxsize=256)
+def _window_axes(window: Window) -> tuple[np.ndarray, np.ndarray]:
+    """A window's k and l ranges as read-only uint64 arrays (cached: a
+    ladder query hashes the same few windows over and over)."""
+    ks = np.arange(window.k_min, window.k_max + 1, dtype=np.int64).view(np.uint64)
+    ls = np.arange(window.l_min, window.l_max + 1, dtype=np.int64).view(np.uint64)
+    ks.flags.writeable = ls.flags.writeable = False
+    return ks, ls
+
+
+def _mixed_columns(seed, window: Window):
+    """The step ``window_states`` and ``first_arrival_bits`` share: each
+    seed's mix xor a window column's k, mixed once per column.  Returns
+    whether ``seed`` is a sequence, the (n_seeds, n_cols) column mixes and
+    the window's l range."""
+    stack = isinstance(seed, (list, tuple, np.ndarray))
+    ks, ls = _window_axes(window)
+    cols = ks ^ _seed_mixes(seed if stack else [seed])[:, None]
+    _mix64_np(cols, np.empty_like(cols))
+    return stack, cols, ls
 
 
 def window_states(seed, window: Window) -> np.ndarray:
-    """``site_state`` of every window site, shape (n_rows, n_cols): the
-    broadcast of a per-column mix of k and a per-row ``^ l``.  For a
-    sequence of seeds the shape is (len(seed), n_rows, n_cols), and plane i
-    equals ``window_states(seed[i], window)``."""
-    ks = np.arange(window.k_min, window.k_max + 1, dtype=np.int64)
-    ls = np.arange(window.l_min, window.l_max + 1, dtype=np.int64)
-    return site_state(seed, (ks, ls[:, None]))
+    """Base states of every window site's stream (``_scalar_state``),
+    shape (n_rows, n_cols): the broadcast of a per-column mix of k and a
+    per-row ``^ l``.  For a sequence of seeds the shape is (len(seed),
+    n_rows, n_cols), and plane i equals ``window_states(seed[i], window)``."""
+    stack, cols, ls = _mixed_columns(seed, window)
+    h = cols[:, None, :] ^ ls[:, None]
+    _mix64_np(h, np.empty_like(h))
+    return h if stack else h[0]
 
 
 def _bits_from_state(h: np.ndarray, j: int) -> np.ndarray:
@@ -206,16 +210,6 @@ _GOLDEN = np.uint64(GOLDEN)
 _TOP_BITS = (1 << 53) - 1
 
 
-@lru_cache(maxsize=256)
-def _window_axes(window: Window) -> tuple[np.ndarray, np.ndarray]:
-    """A window's k and l ranges as read-only uint64 arrays (cached: a
-    ladder query hashes the same few windows over and over)."""
-    ks = np.arange(window.k_min, window.k_max + 1, dtype=np.int64).view(np.uint64)
-    ls = np.arange(window.l_min, window.l_max + 1, dtype=np.int64).view(np.uint64)
-    ks.flags.writeable = ls.flags.writeable = False
-    return ks, ls
-
-
 def first_arrival_bits(seed, window: Window) -> np.ndarray:
     """The 53-bit integers behind ``first_arrival_grid``: ``mix64(state +
     GOLDEN) >> 11`` of every window site, in ``first_arrival_grid``'s shape
@@ -228,12 +222,8 @@ def first_arrival_bits(seed, window: Window) -> np.ndarray:
     stack of small windows, or rows of one large one) with one reused
     scratch buffer, so that no pass streams the whole stack through
     memory."""
-    stack = isinstance(seed, (list, tuple, np.ndarray))
-    seeds = list(seed) if stack else [seed]
-    n_seeds, n_rows, n_cols = len(seeds), window.n_rows, window.n_cols
-    ks, ls = _window_axes(window)
-    cols = ks ^ _seed_mixes(seeds)[:, None]
-    _mix64_np(cols, np.empty_like(cols))
+    stack, cols, ls = _mixed_columns(seed, window)
+    n_seeds, n_rows, n_cols = len(cols), window.n_rows, window.n_cols
     out = np.empty((n_seeds, n_rows, n_cols), dtype=np.uint64)
     rows = max(1, _BLOCK_SITES // n_cols)
     planes = max(1, min(rows // n_rows, n_seeds))

@@ -59,20 +59,6 @@ class DestructionRecord:
     def size(self) -> int:
         return int(self.sites.shape[0])
 
-    @property
-    def max_im(self) -> float:
-        return float(self.sites[:, 1].max()) * SQRT3_2
-
-    def heights_in(self, region) -> np.ndarray:
-        """Embedded heights of the destroyed sites inside ``region``."""
-        ks = self.sites[:, 0].astype(np.float64)
-        ls = self.sites[:, 1].astype(np.float64)
-        xs = ks + 0.5 * ls
-        ys = SQRT3_2 * ls
-        if region is None:
-            return ys
-        return ys[region_select(xs, ys, region)]
-
 
 @dataclass
 class FireState:
@@ -80,18 +66,13 @@ class FireState:
     occ: np.ndarray
     t_end: float
     # First clock arrivals on the window, hashed once per run.
-    arrivals: np.ndarray | None = field(default=None, repr=False)
-
-    def occupied(self, site: Site) -> bool:
-        return bool(self.occ[self.window.index(site)])
+    arrivals: np.ndarray = field(repr=False)
 
 
 def run(window: Window, seed: int, t_end: float = T_C):
     """Run the forest-fire process; returns (FireState, destruction log)."""
-    if t_end > T_C + 1e-12:
-        raise ValueError(f"t_end is capped at t_c = log 2 ~ {T_C:.6f}")
-    if t_end <= 0.0:
-        raise ValueError("t_end must be positive")
+    if not 0.0 < t_end <= T_C + 1e-12:
+        raise ValueError(f"t_end must lie in (0, t_c], t_c = log 2 ~ {T_C:.6f}")
     if window.l_min != 0:
         raise ValueError("forest-fire windows live on the half-plane, l_min = 0")
     states = clocks.window_states(seed, window)
@@ -182,17 +163,28 @@ def _ring_schedule(window: Window, t_end: float, states: np.ndarray,
     return ts[order].tolist(), ks[order].tolist()
 
 
+def _record_tops(records: list[DestructionRecord], region) -> np.ndarray:
+    """Each record's largest embedded height inside ``region`` (everywhere
+    for None), -inf for a record with no site there: one pass over every
+    record's sites."""
+    if not records:
+        return np.empty(0)
+    sites = np.concatenate([rec.sites for rec in records])
+    starts = np.cumsum([0] + [rec.size for rec in records][:-1])
+    ls = sites[:, 1].astype(np.float64)
+    ys = SQRT3_2 * ls
+    if region is not None:
+        ys[~region_select(sites[:, 0] + 0.5 * ls, ys, region)] = -np.inf
+    return np.maximum.reduceat(ys, starts)
+
+
 def height_of_destruction(records: list[DestructionRecord], region,
                           t: float = T_C) -> float:
-    """Sup of destroyed heights in ``region`` up to time t, joined with 0."""
-    best = 0.0
-    for rec in records:
-        if rec.time > t:
-            continue
-        hs = rec.heights_in(region)
-        if hs.size and float(hs.max()) > best:
-            best = float(hs.max())
-    return best
+    """Sup of destroyed heights in ``region`` (everywhere for None) up to
+    time t, joined with 0."""
+    tops = _record_tops(records, region)
+    due = np.array([rec.time <= t for rec in records], dtype=bool)
+    return float(tops[due].max(initial=0.0))
 
 
 def _edge_band(grid: np.ndarray) -> np.ndarray:
@@ -287,28 +279,19 @@ def height_bracket(window: Window, seed: int, region: ConeRegion | TubeRegion,
 
     height = lower = 0.0
     record_ok = all_exact = True
-    if records:
-        # Every record's sites in one array: region heights (-inf outside
-        # the region), each record's top, and its first site's t_c cell.
-        sites = np.concatenate([rec.sites for rec in records])
-        starts = np.cumsum([0] + [rec.size for rec in records][:-1])
-        ls = sites[:, 1].astype(np.float64)
-        ys = SQRT3_2 * ls
-        inside = region_select(sites[:, 0] + 0.5 * ls, ys, region)
-        tops = np.maximum.reduceat(np.where(inside, ys, -np.inf), starts)
-        first = sites[starts]
-        ok = cell_certified[labels[first[:, 1] - window.l_min, first[:, 0] - window.k_min]]
-        for r in np.flatnonzero(tops > -np.inf).tolist():
-            top = float(tops[r])
-            if ok[r]:
-                height = max(height, top)
-                lower = max(lower, top)
-                continue
-            record_ok = False
-            if _exact_at_record_time(state.arrivals, records[r], window):
-                lower = max(lower, top)
-            else:
-                all_exact = False
+    tops = _record_tops(records, region)
+    for r in np.flatnonzero(tops > -np.inf).tolist():
+        top = float(tops[r])
+        k0, l0 = records[r].sites[0].tolist()  # its t_c cell is the record's
+        if cell_certified[labels[l0 - window.l_min, k0 - window.k_min]]:
+            height = max(height, top)
+            lower = max(lower, top)
+            continue
+        record_ok = False
+        if _exact_at_record_time(state.arrivals, records[r], window):
+            lower = max(lower, top)
+        else:
+            all_exact = False
     upper = lower if all_exact else SQRT3_2 * window.l_max
 
     certified = record_ok
@@ -320,13 +303,13 @@ def height_bracket(window: Window, seed: int, region: ConeRegion | TubeRegion,
 
 
 def destruction_log_rows(records: list[DestructionRecord],
-                         region: ConeRegion | None = None) -> list[tuple]:
-    """CSV-ready rows (time, ignition_k, cluster_size, max_im, in_region)."""
-    rows = []
-    for rec in records:
-        in_region = bool(rec.heights_in(region).size) if region is not None else False
-        rows.append((rec.time, rec.ignition[0], rec.size, rec.max_im, int(in_region)))
-    return rows
+                         region: ConeRegion) -> list[tuple]:
+    """CSV-ready rows (time, ignition_k, cluster_size, max_im, in_region):
+    max_im is a record's top height, in_region whether it meets the region."""
+    tops = _record_tops(records, None).tolist()
+    inside = (_record_tops(records, region) > -np.inf).tolist()
+    return [(rec.time, rec.ignition[0], rec.size, top, int(hit))
+            for rec, top, hit in zip(records, tops, inside)]
 
 
 def run_summary(state: FireState, records: list[DestructionRecord]) -> dict:

@@ -151,8 +151,8 @@ def engine_failures(cases, phi: float) -> list[str]:
     walk one-arm engines must give the same indicator."""
     failures = []
     for i, (seed, n, t, half_plane) in enumerate(cases):
-        a = percolation.one_arm_indicator(n, t, phi, seed, half_plane, "grid")
-        b = percolation.one_arm_indicator(n, t, phi, seed, half_plane, "walk")
+        a = percolation.one_arm_indicators(n, t, phi, [seed], half_plane, "grid")[0]
+        b = percolation.one_arm_indicators(n, t, phi, [seed], half_plane, "walk")[0]
         if a != b:
             failures.append(f"case {i}: grid={a} walk={b}")
     return failures

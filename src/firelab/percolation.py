@@ -224,7 +224,7 @@ def one_arm_indicators(n: int, t: float, phi: float, seeds,
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if t < 0.0:
+    if not t >= 0.0:  # NaN too
         raise ValueError("time must be >= 0")
     surface = RhombusSurface((0, 0), n, phi)
     if engine in ("auto", "grid"):
@@ -233,13 +233,6 @@ def one_arm_indicators(n: int, t: float, phi: float, seeds,
         return np.array([_one_arm_walk(surface, t, seed, half_plane)
                          for seed in seeds], dtype=bool)
     raise ValueError(f"unknown engine {engine!r}")
-
-
-def one_arm_indicator(n: int, t: float, phi: float, seed: int,
-                      half_plane: bool = True, engine: str = "auto") -> bool:
-    """One Bernoulli sample of the one-arm event for the origin: a chunk of
-    one seed of :func:`one_arm_indicators`."""
-    return bool(one_arm_indicators(n, t, phi, [seed], half_plane, engine)[0])
 
 
 # Ladder rungs: rhombi of half side n // RUNG_RATIO**i, down to MIN_RUNG.

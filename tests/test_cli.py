@@ -333,6 +333,13 @@ def test_threads_do_not_change_results(tmp_path, monkeypatch):
     assert cli.main(events + ["--out", str(ev2), "--threads", "2"]) == EXIT_OK
     for name in ("events.csv", "events_report.json"):
         assert file_hash(ev1 / name) == file_hash(ev2 / name)
+    # So do the fire runs of the heights samples.
+    heights = ["heights", "--heights-list", "8,12", "--samples", "60"]
+    h1, h2 = tmp_path / "h1", tmp_path / "h2"
+    assert cli.main(heights + ["--out", str(h1), "--threads", "1"]) == EXIT_OK
+    assert cli.main(heights + ["--out", str(h2), "--threads", "2"]) == EXIT_OK
+    for name in ("heights.csv", "heights_summary.json"):
+        assert file_hash(h1 / name) == file_hash(h2 / name)
 
 
 def test_format_config_round_trips():

@@ -63,7 +63,8 @@ def test_gap_from_state_matches_gap_bit_for_bit():
     for seed in rng.integers(0, 2**63, size=20).tolist() + [0, 2**64 - 1, -3]:
         ks = np.concatenate((rng.integers(-10**6, 10**6, size=18), [-1, 2**31]))
         ls = np.concatenate((rng.integers(-10**6, 10**6, size=18), [2**31, -1]))
-        states = clocks.site_state(seed, (ks, ls))
+        states = np.array([clocks._scalar_state(seed, k, l)
+                           for k, l in zip(ks.tolist(), ls.tolist())], dtype=np.uint64)
         for j in range(13):
             grid = clocks.gap_from_state(states, j)
             for k, l, h, g in zip(ks.tolist(), ls.tolist(), states.tolist(),
@@ -77,7 +78,7 @@ def test_gap_from_state_matches_gap_bit_for_bit():
 
 
 def _meshgrid_states(seed, window):
-    """site_state over the full (K, L) meshgrids, mixed out of place."""
+    """The state chain over the full (K, L) meshgrids, mixed out of place."""
     def mix(x):
         x = (x ^ (x >> np.uint64(30))) * np.uint64(clocks.MIX_A)
         x = (x ^ (x >> np.uint64(27))) * np.uint64(clocks.MIX_B)
@@ -108,8 +109,7 @@ def test_factored_states_match_reference_chain(window):
         states = clocks.window_states(seed, window)
         assert states.dtype == np.uint64 and states.shape == K.shape
         assert np.array_equal(states, _meshgrid_states(seed, window))
-        assert np.array_equal(states, clocks.site_state(seed, (K, L)))
-        assert states.ravel().tolist() == [clocks.site_state(seed, s) for s in sites]
+        assert states.ravel().tolist() == [clocks._scalar_state(seed, *s) for s in sites]
         for j in (0, 1, 6):
             want = [_reference_gap(seed, s, j) for s in sites]
             assert clocks.gap_from_state(states, j).ravel().tolist() == want
@@ -153,7 +153,6 @@ def test_numpy_scalar_seeds_match_python_ints_on_the_scalar_path():
     for given, want in ((np.int64(5), 5), (np.int64(-3), -3),
                         (np.uint64(2**64 - 1), 2**64 - 1)):
         assert clocks.uniform(given, site, 0) == clocks.uniform(want, site, 0)
-        assert clocks.site_state(given, site) == clocks.site_state(want, site)
         assert clocks.first_arrival_value(given, site) == \
             clocks.first_arrival_value(want, site)
         assert clocks.gap(given, site, 3) == clocks.gap(want, site, 3)

@@ -24,7 +24,7 @@ from firelab.estimators import (
     xi_from_fit,
     xi_scan_n_list,
 )
-from firelab.lattice import ConeRegion, TubeRegion, Window
+from firelab.lattice import SQRT3_2, ConeRegion, TubeRegion, Window, region_select
 
 PHI = math.pi / 3
 
@@ -143,7 +143,7 @@ def test_ladder_matches_walk_at_xiscan_points():
     for j, (t, n) in enumerate(_xiscan_points()):
         seeds = [clocks.derive_seed(4343, 1000 * j + i) for i in range(150)]
         got = percolation.one_arm_indicators(n, t, PHI, seeds, False).tolist()
-        walk = [percolation.one_arm_indicator(n, t, PHI, s, False, "walk") for s in seeds]
+        walk = percolation.one_arm_indicators(n, t, PHI, seeds, False, "walk").tolist()
         assert got == walk, (t, n)
         assert any(got), (t, n)
 
@@ -546,11 +546,11 @@ def test_height_distribution_tube_cone_decomposition():
         y_cone = firesim.height_of_destruction(records, alpha)
         y_diff = 0.0
         for rec in records:
-            ys = rec.heights_in(tube)
-            ys_in_cone = rec.heights_in(alpha)
+            ls = rec.sites[:, 1].astype(np.float64)
+            xs, ys = rec.sites[:, 0] + 0.5 * ls, SQRT3_2 * ls
             # Heights in the tube but not the cone part.
-            in_tube = set(np.round(ys, 9).tolist())
-            in_cone = set(np.round(ys_in_cone, 9).tolist())
+            in_tube = set(np.round(ys[region_select(xs, ys, tube)], 9).tolist())
+            in_cone = set(np.round(ys[region_select(xs, ys, alpha)], 9).tolist())
             only = in_tube - in_cone
             if only:
                 y_diff = max(y_diff, max(only))

@@ -136,6 +136,8 @@ def test_run_rejects_bad_horizon():
     with pytest.raises(ValueError):
         run(Window(-2, 2, 0, 2), 1, t_end=0.0)
     with pytest.raises(ValueError):
+        run(Window(-5, 5, 0, 5), 3, t_end=float("nan"))
+    with pytest.raises(ValueError):
         run(Window(-2, 2, 1, 3), 1)  # not a half-plane window
 
 
@@ -201,7 +203,7 @@ def test_fire_run_failures_reports_corruptions(monkeypatch):
     # on this seed.
     occupied, ref = invariants.naive_run(window.sites(), seed + 1, T_C)
     assert len(ref) == n
-    differ = sorted({s for s in window.sites() if state.occupied(s)} ^ occupied,
+    differ = sorted({s for s in window.sites() if state.occ[window.index(s)]} ^ occupied,
                     key=lambda s: (s[1], s[0]))
     assert invariants.fire_run_failures(window, seed, T_C, seed + 1)[1] == [
         f"record 0: t={records[0].time!r} at {records[0].ignition}, "
@@ -250,7 +252,7 @@ def test_destroyed_sites_regrow():
             for k, l in rec.sites:
                 site = (int(k), int(l))
                 if clocks.jumps_in(seed, site, rec.time, T_C) and \
-                        state.occupied(site):
+                        state.occ[window.index(site)]:
                     seen_regrowth = True
         if seen_regrowth:
             break
@@ -504,16 +506,23 @@ def test_record_time_rule_exact_records_survive_window_doubling():
     assert beyond_cell > 0
 
 
+def _region_heights(rec, region):
+    """Embedded heights of a record's destroyed sites inside ``region``."""
+    ls = rec.sites[:, 1].astype(np.float64)
+    ys = SQ3 / 2 * ls
+    return ys[region_select(rec.sites[:, 0] + 0.5 * ls, ys, region)]
+
+
 def _per_record_bracket(window, seed, region, strict, cells_seen):
     """``height_bracket`` as a loop over the records, each record's region
-    heights from ``heights_in``; adds the certified flag of every region
-    record's t_c cell to ``cells_seen``."""
+    heights from ``_region_heights``; adds the certified flag of every
+    region record's t_c cell to ``cells_seen``."""
     state, records = run(window, seed, T_C)
     labels, cell_certified = firesim._decompose(window, state.arrivals)
     height = lower = 0.0
     record_ok = all_exact = True
     for rec in records:
-        hs = rec.heights_in(region)
+        hs = _region_heights(rec, region)
         if hs.size == 0:
             continue
         top = float(hs.max())
@@ -572,11 +581,15 @@ def test_two_state_check_matches_naive_run_on_the_igniters():
 def test_destruction_log_rows_and_summary():
     window = Window(-10, 10, 0, 8)
     state, records = run(window, 1001, T_C)
-    rows = firesim.destruction_log_rows(records, ConeRegion(0.0, PHI))
+    cone = ConeRegion(0.0, PHI)
+    rows = firesim.destruction_log_rows(records, cone)
     assert len(rows) == len(records)
     for row, rec in zip(rows, records):
         assert row[0] == rec.time and row[1] == rec.ignition[0]
         assert row[2] == rec.size
+        assert row[3] == float(rec.sites[:, 1].max()) * SQ3 / 2
+        assert row[4] == int(_region_heights(rec, cone).size > 0)
+    assert {row[4] for row in rows} == {0, 1}
     summary = firesim.run_summary(state, records)
     assert summary["n_fires"] == len(records)
     assert summary["final_occupied"] == int(state.occ.sum())

@@ -23,7 +23,7 @@ from firelab.percolation import (
     check_window,
     first_connection_time,
     is_connected,
-    one_arm_indicator,
+    one_arm_indicators,
     window_for_cone,
     window_for_rhombus,
     window_for_tube,
@@ -221,7 +221,7 @@ def test_rhombus_window_is_exact(phi):
                 assert is_connected(center, surface, window,
                                     small_arrivals <= t, half) == want
                 if center == (0, 0):
-                    assert one_arm_indicator(n, t, phi, seed, half) == want
+                    assert one_arm_indicators(n, t, phi, [seed], half)[0] == want
                 else:
                     query = percolation._ladder_query(surface, [seed], half)
                     assert bool(query(t)[0]) == want
@@ -351,13 +351,17 @@ def test_first_connection_minimality():
 
 
 def test_one_arm_t_zero_false():
-    assert not one_arm_indicator(4, 0.0, PHI, seed=3)
+    assert not one_arm_indicators(4, 0.0, PHI, [3])[0]
+    # A NaN time is no time in [0, inf): both engines reject it.
+    for engine in ("grid", "walk"):
+        with pytest.raises(ValueError):
+            one_arm_indicators(4, math.nan, 1.0, [1, 2, 3], engine=engine)
 
 
 def test_one_arm_tiny_rhombus_large_time():
     # At t = 20 each neighbor is vacant with probability e^{-20}.
     for i in range(200):
-        assert one_arm_indicator(1, 20.0, PHI, seed=clocks.derive_seed(83, i))
+        assert one_arm_indicators(1, 20.0, PHI, [clocks.derive_seed(83, i)])[0]
 
 
 def test_one_arm_engines_agree():
@@ -394,7 +398,7 @@ def test_one_arm_ladder_matches_full_window(monkeypatch):
             for i in range(8):
                 seed = clocks.derive_seed(97, 1000 * n + i)
                 hashed.append([])
-                got = one_arm_indicator(n, t, phi, seed, half, engine="grid")
+                got = one_arm_indicators(n, t, phi, [seed], half, engine="grid")[0]
                 occ = clocks.first_arrival_grid(seed, window) <= t
                 assert got == is_connected((0, 0), surface, window, occ, half)
                 for sub in hashed[-1]:
@@ -519,5 +523,5 @@ def test_half_plane_implies_full_plane_samplewise():
     # Same seed: a half-plane connection path also exists in the full plane.
     for i in range(300):
         seed = clocks.derive_seed(71, i)
-        if one_arm_indicator(4, T_C, PHI, seed, half_plane=True):
-            assert one_arm_indicator(4, T_C, PHI, seed, half_plane=False)
+        if one_arm_indicators(4, T_C, PHI, [seed], half_plane=True)[0]:
+            assert one_arm_indicators(4, T_C, PHI, [seed], half_plane=False)[0]
