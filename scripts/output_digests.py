@@ -49,6 +49,9 @@ COMMANDS = (
     # Samples mapped over a worker pool (Pool.map), not the builtin map.
     ("heights", "--region", "cone", "--heights-list", "8,12", "--samples",
      "60", "--threads", "2"),
+    # Five samples: the summary's CI ends fall outside the sample and are
+    # written as "-inf" and "inf".
+    ("heights", "--heights-list", "8", "--samples", "5"),
 )
 
 

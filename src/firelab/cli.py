@@ -431,18 +431,11 @@ def cmd_heights(config: RunConfig, pool_map) -> int:
     rows = []
     summary = []
     for dist in dists:
-        for i, (h, ok) in enumerate(zip(dist.heights, dist.certified)):
-            rows.append((dist.window_height, i, float(h), int(ok)))
-        # The t_c cell rule's statistics pool the lower bounds of the
-        # uncertified samples; the brackets cover the records of the window's own run.
+        for i, (lo, hi) in enumerate(zip(dist.lower, dist.upper)):
+            rows.append((dist.window_height, i, float(lo), float(hi)))
         summary.append({
             "window_height": dist.window_height,
-            "samples": int(dist.heights.size),
-            "uncertified_fraction": dist.uncertified_fraction,
-            "median_lower_bound": dist.quantile(0.5),
-            "median_lower_bound_ci": list(dist.quantile_ci(0.5)),
-            "p90_lower_bound": dist.quantile(0.9),
-            "p90_lower_bound_ci": list(dist.quantile_ci(0.9)),
+            "samples": int(dist.lower.size),
             "exact_fraction": dist.exact_fraction,
             "median_bracket": list(dist.bracket(0.5)),
             "median_bracket_ci": list(dist.bracket_ci(0.5)),
@@ -450,7 +443,7 @@ def cmd_heights(config: RunConfig, pool_map) -> int:
             "p90_bracket_ci": list(dist.bracket_ci(0.9)),
         })
     rundir.add("heights.csv",
-               csv_text(["window_height", "sample", "height", "certified"], rows))
+               csv_text(["window_height", "sample", "lower", "upper"], rows))
     rundir.add("heights_summary.json", json_text({
         "region": config.region, "x": config.x, "phi": config.phi,
         "per_window": summary,

@@ -543,29 +543,33 @@ def borel_cantelli_report(points: list[tuple[int, EstimateResult]]) -> BorelCant
 
 def _order_statistic_ci(values: np.ndarray, q: float,
                         alpha: float) -> tuple[float, float]:
-    """Distribution-free order-statistic confidence interval for the q-quantile."""
+    """Distribution-free order-statistic confidence interval for the
+    q-quantile.  With B ~ Bin(n, q) the count at or below it, the sorted
+    sample's xs[lo] misses with probability P(B <= lo) and xs[hi] with at
+    most P(B > hi): lo is the largest and hi the smallest index keeping its
+    miss at most alpha/2, and an index outside the sample is -inf or inf."""
     xs = np.sort(values)
     n = xs.size
-    lo = int(stats.binom.ppf(alpha / 2.0, n, q))
-    hi = int(stats.binom.ppf(1.0 - alpha / 2.0, n, q))
-    lo = min(max(lo, 0), n - 1)
-    hi = min(max(hi, 0), n - 1)
-    return float(xs[lo]), float(xs[hi])
+    cdf = stats.binom.cdf(np.arange(n + 1), n, q)
+    lo = int(np.searchsorted(cdf, alpha / 2.0, side="right")) - 1
+    hi = int(np.searchsorted(cdf, 1.0 - alpha / 2.0, side="left"))
+    return (float(xs[lo]) if lo >= 0 else -math.inf,
+            float(xs[hi]) if hi < n else math.inf)
 
 
 @dataclass
 class HeightDistribution:
     """Empirical distribution of destruction heights at one window size.
 
-    ``heights`` and ``certified`` follow ``firesim.HeightBracket``: an
-    uncertified sample's height is a lower bound, not an estimate, and the
-    ``quantile`` and ``quantile_ci`` statistics pool those lower bounds
-    with the exact values.  ``lower`` and ``upper`` bracket each sample's
-    destruction height inside the window
-    (``firesim.height_bracket``); the ``bracket`` statistics take their
-    lower ends from ``lower`` and their upper ends from ``upper``.  They
-    cover the records that the window's own run produces, not the
-    infinite-volume height (see the README's ``firelab heights``).
+    ``lower`` and ``upper`` bracket each sample's destruction height inside
+    the window (``firesim.height_bracket``); the ``bracket`` statistics
+    take their lower ends from ``lower`` and their upper ends from
+    ``upper``.  They cover the records that the window's own run produces,
+    not the infinite-volume height (see the README's ``firelab heights``).
+    ``heights`` and ``certified`` are ``firesim.HeightBracket``'s t_c cell
+    rule, which the bracket dominates sample by sample; no output reads
+    them, and they stay only for the benchmark's ``heights-cone``
+    reference and oracles.
     """
 
     window_height: int
@@ -573,10 +577,6 @@ class HeightDistribution:
     certified: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
-
-    @property
-    def uncertified_fraction(self) -> float:
-        return float(1.0 - self.certified.mean())
 
     @property
     def exact(self) -> np.ndarray:
@@ -588,15 +588,6 @@ class HeightDistribution:
     @property
     def exact_fraction(self) -> float:
         return float(self.exact.mean())
-
-    def quantile(self, q: float) -> float:
-        """Quantile of ``heights``; a lower bound where samples are uncertified."""
-        return float(np.quantile(self.heights, q, method="inverted_cdf"))
-
-    def quantile_ci(self, q: float) -> tuple[float, float]:
-        """95% order-statistic confidence interval over ``heights``; it
-        bounds lower bounds where samples are uncertified."""
-        return _order_statistic_ci(self.heights, q, ALPHA)
 
     def bracket(self, q: float) -> tuple[float, float]:
         """The q-quantile of ``lower`` and of ``upper``."""

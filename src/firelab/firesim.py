@@ -217,24 +217,23 @@ def _decompose(window: Window, arrivals: np.ndarray):
 
 @dataclass(frozen=True)
 class HeightBracket:
-    """One sample's destruction height in a region, under two rules.
-
-    ``height`` and ``certified`` follow the t_c cell rule: ``height`` is
-    the destruction height in the region over certified cells only.
-    Records that lie in uncertified t_c cells are dropped, so on an
-    uncertified sample ``height`` is a lower bound (0.0 when no other
-    record remains).  ``certified`` states that ``height`` is exact, and
-    only for the window's rows of the region.  With ``strict`` it requires
-    every cell whose core intersects the region to be certified (the full
-    certification contract, rarely satisfied at criticality); otherwise it
-    only requires that no destruction record intersecting the region lies
-    in an uncertified cell, so it covers only the records that the
-    window's own run produces.
+    """One sample's destruction height in a region.
 
     ``lower`` and ``upper`` bracket the destruction height inside the
     window: ``lower`` is the largest region height over the records that
     are exact at their own time, and ``upper`` equals it when every region
-    record is exact, else the window's top height.
+    record is exact, else the window's top height.  This bracket is the
+    height that firelab reports.
+
+    ``height`` and ``certified`` follow the t_c cell rule: ``height`` is
+    the destruction height in the region over the records in certified
+    t_c cells only, and ``certified`` states that no region record lies in
+    an uncertified cell (with ``strict``, that no uncertified cell's core
+    intersects the region).  The bracket dominates this rule:
+    ``lower >= height``, and a certified sample has
+    ``lower == upper == height``.  The certified cells are the bracket's
+    fast path; ``height`` and ``certified`` stay only because the
+    benchmark's ``heights-cone`` reference and oracles read them.
     """
 
     height: float
@@ -264,15 +263,14 @@ def _exact_at_record_time(arrivals: np.ndarray, record: DestructionRecord,
 
 def height_bracket(window: Window, seed: int, region: ConeRegion | TubeRegion,
                    strict: bool = False) -> HeightBracket:
-    """Destruction height in ``region`` from one run, with its bracket.
+    """Destruction height in ``region`` from one run, as a
+    :class:`HeightBracket`.
 
-    ``height`` and ``certified`` follow the t_c cell rule of
-    :class:`HeightBracket` under ``strict``.  The bracket does not depend
-    on ``strict``.
     The record-time rule runs only on region records whose t_c cell is
-    uncertified; a record in a certified cell is exact under it too.  Like
-    the non-strict flag, the bracket covers the records that the window's
-    own run produces.
+    uncertified; a record in a certified cell is exact under it too.  The
+    bracket covers the records that the window's own run produces and does
+    not depend on ``strict``, which only the t_c cell rule's ``certified``
+    reads.
     """
     state, records = run(window, seed, T_C)
     labels, cell_certified = _decompose(window, state.arrivals)

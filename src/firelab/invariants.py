@@ -132,9 +132,12 @@ def _definitional_connection_time(w: Site, target, window: Window,
 
 def connection_failures(cases, phi: float) -> list[str]:
     """``cases`` are ``(seed, n)`` pairs; for each, the bisected
-    first-connection time from the origin to its rhombus surface of size n
-    must equal a relabelling of the snapshot at every arrival time."""
-    failures = []
+    first-connection time T from the origin to its rhombus surface of size
+    n must equal a relabelling of the snapshot at every arrival time.  The
+    threshold queries of the event sampler must agree: one window-ladder
+    query per n, one threshold per seed, answers True at T and False just
+    below it, or False at t_c where T is None."""
+    failures, by_n = [], {}  # n -> [(case index, seed, T)]
     origin = (0, 0)
     for i, (seed, n) in enumerate(cases):
         surface = RhombusSurface(origin, n, phi)
@@ -143,6 +146,17 @@ def connection_failures(cases, phi: float) -> list[str]:
         t_def = _definitional_connection_time(origin, surface, window, seed)
         if t_inc != t_def:
             failures.append(f"case {i}: incremental {t_inc} != definitional {t_def}")
+        by_n.setdefault(n, []).append((i, seed, t_def))
+    for n, group in by_n.items():
+        cases_n, seeds, ts = zip(*group)
+        query = percolation._ladder_query(RhombusSurface(origin, n, phi), seeds, True)
+        at_ts = [T_C if t is None else t for t in ts]
+        at = query(at_ts).tolist()
+        below = query([math.nan if t is None else math.nextafter(t, -math.inf)
+                       for t in ts]).tolist()
+        failures += [f"case {i}: T = {t}, ladder query {a} at {s!r}, {b} just below"
+                     for i, t, s, a, b in zip(cases_n, ts, at_ts, at, below)
+                     if a != (t is not None) or b]
     return failures
 
 

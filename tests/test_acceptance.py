@@ -189,9 +189,8 @@ def test_c8_cone_height_tightness_proxy():
             f"{kept} over {int(below.sum())} samples; no lower end falls: "
             f"{no_fall}; p90 bracket H={pair(small.bracket(0.9))} "
             f"ci={pair(p90_ci_s)} vs 2H={pair(big.bracket(0.9))} "
-            f"ci={pair(p90_ci_b)}; uncertified t_c cell rule "
-            f"H={small.uncertified_fraction:.4f} 2H={big.uncertified_fraction:.4f}, "
-            f"record-time rule H={1 - small.exact_fraction:.4f} "
+            f"ci={pair(p90_ci_b)}; uncertified record-time rule "
+            f"H={1 - small.exact_fraction:.4f} "
             f"2H={1 - big.exact_fraction:.4f}; exact 2H height above "
             f"y_H={top_s:.2f}: {float((big.lower > top_s).mean()):.4f}")
     assert ok

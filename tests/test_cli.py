@@ -3,6 +3,7 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from firelab import cli
@@ -243,12 +244,22 @@ def test_heights_summary(tmp_path):
                      "--samples", "40", "--heights-list", "6"])
     assert code == EXIT_OK
     summary = json.loads((out / "heights_summary.json").read_text())
-    assert summary["per_window"][0]["samples"] == 40
     window = summary["per_window"][0]
-    assert 0.0 <= window["uncertified_fraction"] <= 1.0
-    assert window["median_lower_bound"] <= window["median_bracket"][0]
+    assert set(window) == {"window_height", "samples", "exact_fraction",
+                           "median_bracket", "median_bracket_ci",
+                           "p90_bracket", "p90_bracket_ci"}
+    assert window["samples"] == 40
     lo, hi = window["median_bracket_ci"]
     assert lo <= window["median_bracket"][0] <= window["median_bracket"][1] <= hi
+    # heights.csv's per-sample brackets reproduce the summary.
+    header, *rows = (out / "heights.csv").read_text().splitlines()
+    assert header == "window_height,sample,lower,upper"
+    lower = np.array([float(r.split(",")[2]) for r in rows])
+    upper = np.array([float(r.split(",")[3]) for r in rows])
+    assert len(rows) == 40
+    assert window["exact_fraction"] == (lower == upper).mean()
+    assert window["median_bracket"] == [
+        float(np.quantile(xs, 0.5, method="inverted_cdf")) for xs in (lower, upper)]
 
 
 def test_heights_refuses_a_clipped_cone(tmp_path, capsys):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from firelab import clocks, estimators, firesim, percolation
 from firelab.clocks import T_C
@@ -561,10 +562,29 @@ def test_height_distribution_atom_at_zero():
     dists = height_distribution(ConeRegion(0.0, PHI), [6], 200, base_seed=2020,
                                 width_factor=2.0)
     d = dists[0]
-    assert d.heights.size == 200
-    assert (d.heights == 0.0).sum() > 0
-    lo, hi = d.quantile_ci(0.5)
-    assert lo <= d.quantile(0.5) <= hi
+    assert d.lower.size == 200
+    assert (d.lower == 0.0).sum() > 0
+    lo, hi = d.bracket(0.5)
+    ci_lo, ci_hi = d.bracket_ci(0.5)
+    assert ci_lo <= lo <= hi <= ci_hi
+    assert lo >= np.quantile(d.heights, 0.5, method="inverted_cdf")
+
+
+@pytest.mark.parametrize("region, height", [
+    (ConeRegion(0.0, PHI), 8), (ConeRegion(2.5, 0.8), 16),
+    (TubeRegion(0.0, 1.2), 8), (TubeRegion(1.0, 1.2), 16)])
+def test_bracket_dominates_cell_rule(region, height):
+    # The t_c cell rule's height is a lower bound of the bracket on every
+    # sample, and a sample it certifies has a point bracket at its height,
+    # so the outputs report the bracket alone.
+    for strict in (False, True):
+        d = height_distribution(region, [height], 60, base_seed=808,
+                                strict=strict)[0]
+        assert (d.lower >= d.heights).all()
+        assert (d.lower[d.certified] == d.heights[d.certified]).all()
+        assert (d.upper[d.certified] == d.heights[d.certified]).all()
+        if not strict:
+            assert d.certified.any() and not d.certified.all()
 
 
 def test_height_distribution_refuses_a_clipped_cone(monkeypatch):
@@ -609,7 +629,7 @@ def test_height_bracket_statistics_hand_built():
     for q in (0.1, 0.5, 0.9):
         lo, hi = d.bracket(q)
         assert lo <= hi
-        assert lo >= d.quantile(q)
+        assert lo >= np.quantile(d.heights, q, method="inverted_cdf")
         ci_lo, ci_hi = d.bracket_ci(q, alpha=0.025)
         assert ci_lo <= lo and hi <= ci_hi
         assert ci_lo <= ci_hi
@@ -617,8 +637,26 @@ def test_height_bracket_statistics_hand_built():
     assert d.bracket(0.9)[1] == top
     # With every sample exact the bracket reduces to the plain statistics.
     e = estimators.HeightDistribution(10, lower, np.ones(n, bool), lower, lower)
-    assert e.bracket(0.5) == (e.quantile(0.5), e.quantile(0.5))
-    assert e.bracket_ci(0.5) == e.quantile_ci(0.5)
+    median = float(np.quantile(lower, 0.5, method="inverted_cdf"))
+    assert e.bracket(0.5) == (median, median)
+    assert e.bracket_ci(0.5) == estimators._order_statistic_ci(lower, 0.5, 0.05)
+
+
+@pytest.mark.parametrize("n, q, alpha", [
+    (5, 0.5, 0.05), (10, 0.9, 0.05), (50, 0.9, 0.05), (50, 0.5, 0.025),
+    (60, 0.1, 0.05), (400, 0.9, 0.05), (400, 0.5, 0.025)])
+def test_order_statistic_ci_exact_miss_probabilities(n, q, alpha):
+    # On the sample 0, 1, ..., n - 1 each end is its own index.  With
+    # B ~ Bin(n, q) the count at or below the q-quantile, the lower end
+    # misses with P(B <= lo) and the upper with at most P(B > hi); each
+    # end keeps its miss at or below alpha / 2 and is the tightest that
+    # does.  An index outside the sample is an infinite end.
+    lo, hi = estimators._order_statistic_ci(np.arange(n, dtype=float), q, alpha)
+    lo = -1 if lo == -math.inf else int(lo)
+    hi = n if hi == math.inf else int(hi)
+    binom = stats.binom(n, q)
+    assert binom.cdf(lo) <= alpha / 2 < binom.cdf(lo + 1)
+    assert binom.sf(hi) <= alpha / 2 < binom.sf(hi - 1)
 
 
 def test_linear_fit_requires_spread():

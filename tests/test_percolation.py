@@ -312,6 +312,26 @@ def test_first_connection_time_matches_definitional_recompute():
     assert invariants.connection_failures(cases, PHI) == []
 
 
+@pytest.mark.parametrize("wrong", ["negated", "one step late"])
+def test_connection_check_catches_a_wrong_ladder_answer(monkeypatch, wrong):
+    # verify's first-connection check asks the event sampler's threshold
+    # queries too: a ladder that answers "T <= t" wrongly, everywhere or
+    # only at T itself, fails the check.
+    ladder_query = percolation._ladder_query
+
+    def broken(surface, seeds, half_plane):
+        query = ladder_query(surface, seeds, half_plane)
+        if wrong == "negated":
+            return lambda t: ~query(t)
+        return lambda t: query([math.nextafter(s, -math.inf) for s in t])
+
+    cases = [(clocks.derive_seed(6, 70_000 + i), 3 + i % 3) for i in range(40)]
+    assert invariants.connection_failures(cases, PHI) == []
+    monkeypatch.setattr(percolation, "_ladder_query", broken)
+    failures = invariants.connection_failures(cases, PHI)
+    assert failures and all("ladder query" in f for f in failures)
+
+
 def test_first_connection_single_site_path():
     # Make the target band reach a neighbor of w: n = 1 puts the surface
     # within distance 1 of the origin's neighbors.
