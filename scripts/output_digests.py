@@ -27,19 +27,17 @@ COMMANDS = (
     ("events", "--n-list", "8,12,16,24"),
     ("heights", "--region", "cone", "--heights-list", "8,12", "--samples", "60"),
     ("heights", "--region", "tube", "--heights-list", "8,12", "--samples", "60"),
-    ("xiscan", "--synthetic"),
-    ("xiscan", "--samples-per-n", "300"),
+    ("xiscan", "--samples", "300"),
     ("verify", "--seed", "6", "--verify-runs", "12"),
     ("verify", "--seed", "6", "--verify-runs", "12", "--corrupt-streams"),
-    ("events", "--n-list", "8,12", "--no-events-a", "--delta", "0.05",
-     "--x", "1.5"),
+    ("events", "--n-list", "8,12", "--events-include-a", "false",
+     "--delta", "0.05", "--x", "1.5"),
     ("onearm", "--seed", "4", "--samples", "200", "--n-list", "4,8",
      "--t", "0.65", "--phi", "0.8"),
-    ("simulate", "--window-width", "16", "--window-height", "10",
-     "--t-end", "0.5"),
+    ("simulate", "--window-width", "16", "--window-height", "10", "--t", "0.5"),
     ("heights", "--region", "tube", "--phi", "1.2", "--heights-list", "8,12",
      "--samples", "60"),
-    ("verify", "--seed", "6", "--verify-runs", "12", "--t-end", "0.5"),
+    ("verify", "--seed", "6", "--verify-runs", "12", "--t", "0.5"),
     ("events", "--n-list", "24,32", "--samples", "1500", "--x", "2.5",
      "--phi", "0.8"),
     ("heights", "--region", "cone", "--heights-list", "48,96", "--samples",

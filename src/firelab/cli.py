@@ -62,8 +62,8 @@ class RunConfig:
     out: str = field(default="firelab-out", metadata={"help": "output directory"})
     window_width: int = 48   # half-width: window spans k in [-w, w]
     window_height: int = 24  # rows l in [0, h]
-    t_end: float = T_C
-    t: float = T_C           # one-arm sampling time
+    t: float = field(default=T_C, metadata={
+        "help": "stop time (simulate, verify) or sampling time (onearm)"})
     x: float = 0.0
     phi: float = estimators.DEFAULT_PHI
     delta: float = estimators.DEFAULT_DELTA
@@ -72,14 +72,12 @@ class RunConfig:
     t_list: tuple[float, ...] = field(
         default=(T_C - 0.30, T_C - 0.22, T_C - 0.15, T_C - 0.10),
         metadata={"help": "comma-separated times"})
-    samples: int = 1000
-    samples_per_n: int = 2000
+    samples: int = field(default=1000, metadata={
+        "help": "samples per estimate point"})
     half_plane: bool = True
     region: str = "cone"     # cone | tube
-    model: str = "n_exp"
     heights_list: tuple[int, ...] = (24, 48)
     width_factor: float = 3.0
-    synthetic: bool = False
     events_include_a: bool = True
     verify_runs: int = 120
     corrupt_streams: bool = False
@@ -92,21 +90,19 @@ class RunConfig:
             env = os.environ.get("FIRELAB_THREADS", "").strip()
             try:
                 threads = int(env) if env else 1
-            except ValueError as exc:
-                raise ConfigError(f"bad FIRELAB_THREADS value {env!r}") from exc
+            except ValueError:
+                threads = -1
+            if threads < 0:
+                raise ConfigError(f"bad FIRELAB_THREADS value {env!r}")
         return max(1, min(threads, os.cpu_count() or 1))
 
     def validate(self) -> None:
         if self.samples < 1:
             raise ConfigError("samples must be >= 1")
-        if self.samples_per_n < 1:
-            raise ConfigError("samples_per_n must be >= 1")
-        if not 0.0 < self.t_end <= T_C + 1e-12:
-            raise ConfigError(
-                f"t_end must lie in (0, t_c]; the process is capped at "
-                f"t_c = log 2 ~ {T_C:.6f}")
         if not 0.0 <= self.t <= T_C + 1e-12:
-            raise ConfigError("t must lie in [0, t_c]")
+            raise ConfigError(
+                f"t must lie in [0, t_c]; the process is capped at "
+                f"t_c = log 2 ~ {T_C:.6f}")
         if not math.isfinite(self.x):
             raise ConfigError("x must be finite")
         if self.window_width < 2 or self.window_height < 2:
@@ -123,8 +119,6 @@ class RunConfig:
             raise ConfigError("t_list values must lie in [0, t_c)")
         if self.region not in ("cone", "tube"):
             raise ConfigError("region must be cone or tube")
-        if self.model not in ("exp", "n_exp"):
-            raise ConfigError("model must be exp or n_exp")
         if not self.heights_list or any(h < 4 for h in self.heights_list):
             raise ConfigError("heights_list entries must be >= 4")
         if not 0.0 < self.width_factor < math.inf:
@@ -312,13 +306,13 @@ def _estimate_row(n, est) -> tuple:
 
 def cmd_simulate(config: RunConfig) -> int:
     rundir = RunDirectory(config, "simulate")
-    state, records = firesim.run(config.window(), config.seed, config.t_end)
+    state, records = firesim.run(config.window(), config.seed, config.t)
     region = config.cone()
     rows = firesim.destruction_log_rows(records, region)
     rundir.add("destruction_log.csv",
                csv_text(["time", "ignition_k", "cluster_size", "max_im", "in_cone"], rows))
     summary = firesim.run_summary(state, records)
-    summary["cone_height"] = firesim.height_of_destruction(records, region, config.t_end)
+    summary["cone_height"] = firesim.height_of_destruction(records, region)
     summary["seed"] = config.seed
     rundir.add("summary.json", json_text(summary))
     rundir.write()
@@ -351,27 +345,17 @@ def cmd_onearm(config: RunConfig, pool_map) -> int:
 
 def cmd_xiscan(config: RunConfig, pool_map) -> int:
     rundir = RunDirectory(config, "xiscan")
-    if config.synthetic:
-        gaps = [T_C - t for t in config.t_list]
-        xis = [g ** (-4.0 / 3.0) for g in gaps]
-        fit = estimators.fit_xi_scan(list(config.t_list), xis)
-        rows = [(t, T_C - t, xi, "", "") for t, xi in zip(config.t_list, xis)]
-        report = {"synthetic": True, "fit": dataclasses.asdict(fit)}
-    else:
-        scan = estimators.scan_xi_exponent(
-            list(config.t_list), config.phi, config.samples_per_n,
-            config.seed, config.model, pool_map)
-        rows = [(t, T_C - t, xf.xi, xf.xi_ci[0], xf.xi_ci[1])
-                for t, xf in scan.xis]
-        report = {
-            "synthetic": False,
-            "fit": dataclasses.asdict(scan.fit),
-            "per_t": [{
-                "t": t, "xi": xf.xi, "xi_ci": list(xf.xi_ci),
-                "r2": xf.fit.r2, "warnings": xf.warnings,
-                "points": [_estimate_row(n, e) for n, e in xf.points],
-            } for t, xf in scan.xis],
-        }
+    scan = estimators.scan_xi_exponent(
+        list(config.t_list), config.phi, config.samples, config.seed, pool_map)
+    rows = [(t, T_C - t, xf.xi, xf.xi_ci[0], xf.xi_ci[1]) for t, xf in scan.xis]
+    report = {
+        "fit": dataclasses.asdict(scan.fit),
+        "per_t": [{
+            "t": t, "xi": xf.xi, "xi_ci": list(xf.xi_ci),
+            "r2": xf.fit.r2, "warnings": xf.warnings,
+            "points": [_estimate_row(n, e) for n, e in xf.points],
+        } for t, xf in scan.xis],
+    }
     rundir.add("xiscan.csv",
                csv_text(["t", "gap", "xi", "xi_ci_low", "xi_ci_high"], rows))
     rundir.add("xiscan_fit.json", json_text(report))
@@ -473,7 +457,7 @@ def cmd_verify(config: RunConfig) -> int:
     fire, records_sha = [], hashlib.sha256()
     for i, seed in enumerate(seeds(40_000, runs)):
         records, failures = invariants.fire_run_failures(
-            window, seed, config.t_end, seed + shift)
+            window, seed, config.t, seed + shift)
         fire += [f"run {i}: {f}" for f in failures]
         for rec in records:
             records_sha.update(f"{i} {rec.time!r} {rec.ignition} "
@@ -489,7 +473,7 @@ def cmd_verify(config: RunConfig) -> int:
     checks = [
         _check("fire-invariants", fire, runs=runs,
                window=[window.k_min, window.k_max, window.l_min, window.l_max],
-               t_end=config.t_end, records_sha256=records_sha.hexdigest()),
+               t_end=config.t, records_sha256=records_sha.hexdigest()),
         _check("two-state-oracle", two, runs=n_two, p_hat=p_hat,
                p_true=invariants.TWO_STATE_P),
         _check("first-connection-oracle", conn, cases=40),
@@ -529,9 +513,6 @@ def build_parser() -> argparse.ArgumentParser:
             bare = {"nargs": "?", "const": "true"} if f.type is bool else {}
             p.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
                            default=None, help=f.metadata.get("help"), **bare)
-        p.add_argument("--no-events-a", dest="events_include_a",
-                       action="store_const", const="false",
-                       help="alias of --events-include-a false")
     sub.add_parser("defaults")
     return parser
 

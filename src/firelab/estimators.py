@@ -220,20 +220,15 @@ class XiFit:
     warnings: list[str] = field(default_factory=list)
 
 
-def fit_decay(n_values, p_values, model: str = "n_exp") -> FitResult:
-    """Semi-log fit of one-arm decay; ``n_exp`` divides out the linear
-    prefactor of the upper-bound form, ``exp`` fits a bare exponential."""
+def fit_decay(n_values, p_values) -> FitResult:
+    """Semi-log fit of one-arm decay to the upper-bound form n exp(-n/xi):
+    log(p/n) against n, so the slope is -1/xi."""
     n_arr = np.asarray(n_values, dtype=np.float64)
     p_arr = np.asarray(p_values, dtype=np.float64)
     if (p_arr <= 0).any():
         raise FitError("nonpositive probabilities in decay fit")
-    if model == "exp":
-        y = np.log(p_arr)
-    elif model == "n_exp":
-        y = np.log(p_arr / n_arr)
-    else:
-        raise ValueError(f"unknown decay model {model!r}")
-    return linear_fit(n_arr, y, x_transform="id", y_transform="log", model=model)
+    return linear_fit(n_arr, np.log(p_arr / n_arr), x_transform="id",
+                      y_transform="log", model="n_exp")
 
 
 def xi_from_fit(fit: FitResult) -> tuple[float, tuple[float, float]]:
@@ -247,8 +242,7 @@ def xi_from_fit(fit: FitResult) -> tuple[float, tuple[float, float]]:
 
 
 def fit_correlation_length(t: float, phi: float, n_list, samples_per_n: int,
-                           base_seed: int, model: str = "n_exp",
-                           pool_map=None) -> XiFit:
+                           base_seed: int, pool_map=None) -> XiFit:
     """Correlation length at a subcritical time from full-plane one-arm
     decay."""
     if not t < T_C:
@@ -272,7 +266,7 @@ def fit_correlation_length(t: float, phi: float, n_list, samples_per_n: int,
     dropped = len(points) - len(usable)
     if dropped:
         warnings.append(f"dropped {dropped} zero-success points from the fit")
-    fit = fit_decay([n for n, _ in usable], [p for _, p in usable], model)
+    fit = fit_decay([n for n, _ in usable], [p for _, p in usable])
     xi, ci = xi_from_fit(fit)
     return XiFit(xi, ci, fit, points, warnings)
 
@@ -311,7 +305,7 @@ def fit_xi_scan(t_values, xi_values) -> FitResult:
 
 
 def scan_xi_exponent(t_list, phi: float, samples_per_n: int, base_seed: int,
-                     model: str = "n_exp", pool_map=None) -> XiScan:
+                     pool_map=None) -> XiScan:
     """Divergence exponent of the correlation length approaching t_c."""
     t_list = list(t_list)
     if len(t_list) < 3:
@@ -322,7 +316,7 @@ def scan_xi_exponent(t_list, phi: float, samples_per_n: int, base_seed: int,
     for j, t in enumerate(sorted(t_list)):
         xf = fit_correlation_length(t, phi, xi_scan_n_list(t), samples_per_n,
                                     derive_seed(base_seed, 77_000 + j),
-                                    model=model, pool_map=pool_map)
+                                    pool_map=pool_map)
         xis.append((t, xf))
     fit = fit_xi_scan([t for t, _ in xis], [xf.xi for _, xf in xis])
     return XiScan(xis, fit)

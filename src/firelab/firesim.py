@@ -178,13 +178,10 @@ def _record_tops(records: list[DestructionRecord], region) -> np.ndarray:
     return np.maximum.reduceat(ys, starts)
 
 
-def height_of_destruction(records: list[DestructionRecord], region,
-                          t: float = T_C) -> float:
-    """Sup of destroyed heights in ``region`` (everywhere for None) up to
-    time t, joined with 0."""
-    tops = _record_tops(records, region)
-    due = np.array([rec.time <= t for rec in records], dtype=bool)
-    return float(tops[due].max(initial=0.0))
+def height_of_destruction(records: list[DestructionRecord], region) -> float:
+    """Sup of the heights that ``records`` destroyed in ``region``
+    (everywhere for None), joined with 0."""
+    return float(_record_tops(records, region).max(initial=0.0))
 
 
 def _edge_band(grid: np.ndarray) -> np.ndarray:
@@ -318,5 +315,5 @@ def run_summary(state: FireState, records: list[DestructionRecord]) -> dict:
         "n_fires": len(records),
         "sites_destroyed": int(sum(r.size for r in records)),
         "final_occupied": int(state.occ.sum()),
-        "max_destruction_height": height_of_destruction(records, None, state.t_end),
+        "max_destruction_height": height_of_destruction(records, None),
     }

@@ -57,7 +57,7 @@ def test_c1_half_plane_one_arm_exponent():
 def test_c2_subcritical_exponential_decay():
     t = T_C - 0.25
     ns = list(range(10, 61, 5))
-    xf = fit_correlation_length(t, PHI, ns, 40_000, base_seed=202, model="n_exp")
+    xf = fit_correlation_length(t, PHI, ns, 40_000, base_seed=202)
     ok = xf.fit.r2 > 0.98 and math.isfinite(xf.xi) and xf.xi > 0
     _report("criterion 2", ok,
             f"R^2={xf.fit.r2:.4f} xi={xf.xi:.3f} warnings={xf.warnings}")
@@ -220,7 +220,6 @@ def test_c9_cli_determinism(tmp_path):
                "--n-list", "8,12"])
     run_twice(["heights", "--seed", "9", "--samples", "50",
                "--heights-list", "6,10"])
-    run_twice(["xiscan", "--synthetic"])
-    run_twice(["xiscan", "--seed", "9", "--samples-per-n", "300"])
+    run_twice(["xiscan", "--seed", "9", "--samples", "300"])
     run_twice(["verify", "--seed", "9", "--verify-runs", "12"])
     _report("criterion 9", True, "all subcommands byte-identical on re-run")

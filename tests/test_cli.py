@@ -59,12 +59,11 @@ def test_parse_config_types(tmp_path):
 # A valid value other than the default for every RunConfig field, as text.
 NON_DEFAULT = {
     "seed": "5", "threads": "2", "out": "elsewhere", "window_width": "16",
-    "window_height": "10", "t_end": "0.5", "t": "0.6", "x": "1.5",
-    "phi": "0.8", "delta": "0.05", "n_list": "3,5", "t_list": "0.1,0.2,0.3",
-    "samples": "7", "samples_per_n": "9", "half_plane": "false",
-    "region": "tube", "model": "exp", "heights_list": "6,8",
-    "width_factor": "2.5", "synthetic": "true", "events_include_a": "false",
-    "verify_runs": "12", "corrupt_streams": "true",
+    "window_height": "10", "t": "0.6", "x": "1.5", "phi": "0.8",
+    "delta": "0.05", "n_list": "3,5", "t_list": "0.1,0.2,0.3", "samples": "7",
+    "half_plane": "false", "region": "tube", "heights_list": "6,8",
+    "width_factor": "2.5", "events_include_a": "false", "verify_runs": "12",
+    "corrupt_streams": "true",
 }
 
 
@@ -84,42 +83,55 @@ def test_flag_and_config_line_load_alike(tmp_path, name):
 
 
 @pytest.mark.parametrize("flags, expected", [
-    (["--synthetic"], {"synthetic": True}),
+    (["--corrupt-streams", "--half-plane", "off"],
+     {"corrupt_streams": True, "half_plane": False}),
     (["--corrupt-streams"], {"corrupt_streams": True}),
-    (["--no-events-a"], {"events_include_a": False}),
+    (["--events-include-a", "false"], {"events_include_a": False}),
     (["--half-plane", "false"], {"half_plane": False}),
     (["--half-plane", "ON"], {"half_plane": True}),
-    (["--synthetic", "--t-list=0.1,0.2,0.3"],
-     {"synthetic": True, "t_list": (0.1, 0.2, 0.3)}),
-    (["--x", "-1.5", "--t-end", "0.5", "--t", "0.6"],
-     {"x": -1.5, "t_end": 0.5, "t": 0.6}),
+    (["--corrupt-streams", "--t-list=0.1,0.2,0.3"],
+     {"corrupt_streams": True, "t_list": (0.1, 0.2, 0.3)}),
+    (["--x", "-1.5", "--t", "0.5"], {"x": -1.5, "t": 0.5}),
     (["--seed", "2", "--samples", "200", "--n-list", "3,5,8", "--t", "0.6",
       "--half-plane", "false"],
      {"seed": 2, "samples": 200, "n_list": (3, 5, 8), "t": 0.6,
       "half_plane": False}),
     (["--region", "tube", "--heights-list", "8, 12", "--width-factor", "2",
-      "--phi", "1.2", "--delta", "0.05", "--model", "exp"],
+      "--phi", "1.2", "--delta", "0.05"],
      {"region": "tube", "heights_list": (8, 12), "width_factor": 2.0,
-      "phi": 1.2, "delta": 0.05, "model": "exp"}),
-    (["--threads", "2", "--samples-per-n", "300", "--verify-runs", "12",
+      "phi": 1.2, "delta": 0.05}),
+    (["--threads", "2", "--samples", "300", "--verify-runs", "12",
       "--window-width", "16", "--window-height", "10", "--out", "run"],
-     {"threads": 2, "samples_per_n": 300, "verify_runs": 12,
+     {"threads": 2, "samples": 300, "verify_runs": 12,
       "window_width": 16, "window_height": 10, "out": "run"}),
 ])
 def test_flag_spellings(flags, expected):
     assert flag_config(*flags) == RunConfig(**expected)
 
 
-def test_invalid_config_produces_no_output(tmp_path):
+def test_invalid_config_produces_no_output(tmp_path, capsys):
     out = tmp_path / "run"
-    code = cli.main(["simulate", "--out", str(out), "--t-end", "0.9"])
-    assert code == EXIT_CONFIG
-    assert not out.exists()
-    cfg = tmp_path / "engine.cfg"
-    cfg.write_text("engine = walk\n")
-    code = cli.main(["onearm", "--out", str(out), "--config", str(cfg)])
-    assert code == EXIT_CONFIG
-    assert not out.exists()
+    # t = 0.9 fails validation; t = 0 passes it, and the fire run refuses it.
+    for args in (["simulate", "--t", "0.9"], ["simulate", "--t", "0"],
+                 ["verify", "--t", "0"]):
+        assert cli.main(args + ["--out", str(out)]) == EXIT_CONFIG, args
+        assert not out.exists()
+    # Keys that RunConfig no longer has.
+    cfg = tmp_path / "removed.cfg"
+    for line in ("engine = walk", "t_end = 0.5", "samples_per_n = 300",
+                 "model = exp", "synthetic = true"):
+        cfg.write_text(line + "\n")
+        capsys.readouterr()
+        code = cli.main(["xiscan", "--out", str(out), "--config", str(cfg)])
+        assert code == EXIT_CONFIG, line
+        assert "unknown key" in capsys.readouterr().err
+        assert not out.exists()
+    for flags in (["--t-end", "0.5"], ["--samples-per-n", "300"],
+                  ["--model", "exp"], ["--synthetic"], ["--no-events-a"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["xiscan", *flags, "--out", str(out)])
+        assert exc.value.code == EXIT_CONFIG, flags
+        assert not out.exists()
 
 
 def test_simulate_deterministic(tmp_path):
@@ -143,8 +155,7 @@ def test_simulate_creates_missing_directory(tmp_path):
 
 
 def test_simulate_rejects_t_end_beyond_cap(tmp_path, capsys):
-    code = cli.main(["simulate", "--out", str(tmp_path / "x"),
-                     "--t-end", "0.75"])
+    code = cli.main(["simulate", "--out", str(tmp_path / "x"), "--t", "0.75"])
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "t_c" in err
@@ -156,12 +167,12 @@ def test_simulate_rejects_t_end_beyond_cap(tmp_path, capsys):
     ["heights", "--width-factor", "inf"],
     ["events", "--x", "inf"],
     ["simulate", "--x", "nan"],
-    ["xiscan", "--synthetic", "--t-list", "nan,0.4,0.5,0.6"],
-    ["xiscan", "--synthetic", "--t-list", "0.4,0.5,inf"],
-    ["xiscan", "--synthetic", "--t-list=-5,-3,-1"],
+    ["xiscan", "--t-list", "nan,0.4,0.5,0.6"],
+    ["xiscan", "--t-list", "0.4,0.5,inf"],
+    ["xiscan", "--t-list=-5,-3,-1"],
     ["xiscan", "--t-list=-0.1,0.4,0.5"],
-    ["xiscan", "--synthetic", "--t-list="],
-    ["xiscan", "--synthetic", "--t-list", "0.5"],
+    ["xiscan", "--t-list="],
+    ["xiscan", "--t-list", "0.5"],
 ])
 def test_rejects_degenerate_width_factor_and_non_finite_x(tmp_path, capsys, args):
     out = tmp_path / "x"
@@ -201,15 +212,6 @@ def test_json_outputs_are_strict(tmp_path):
     report = json.loads(text, parse_constant=reject)
     assert report["loglog_fit"]["slope_se"] is None
     assert report["loglog_fit"]["slope_ci"] == ["-inf", "inf"]
-
-
-def test_xiscan_synthetic_slope(tmp_path):
-    out = tmp_path / "xs"
-    code = cli.main(["xiscan", "--synthetic", "--out", str(out)])
-    assert code == EXIT_OK
-    report = json.loads((out / "xiscan_fit.json").read_text())
-    assert report["synthetic"] is True
-    assert abs(report["fit"]["slope"] - (-4.0 / 3.0)) < 1e-6
 
 
 def test_events_reports_zero_violations(tmp_path):
@@ -301,11 +303,11 @@ def test_verify_honours_t_end(tmp_path):
     # the checked runs' records, so a shorter horizon changes it.
     args = ["verify", "--seed", "6", "--verify-runs", "12"]
     assert cli.main(args + ["--out", str(tmp_path / "v")]) == EXIT_OK
-    assert cli.main(args + ["--t-end", "0.5", "--out", str(tmp_path / "vt")]) == EXIT_OK
+    assert cli.main(args + ["--t", "0.5", "--out", str(tmp_path / "vt")]) == EXIT_OK
     full, short = ((tmp_path / d / "verify_report.json").read_bytes() for d in ("v", "vt"))
     assert full != short
     fire = [json.loads(r)["checks"][0] for r in (full, short)]
-    assert [c["t_end"] for c in fire] == [cli.RunConfig().t_end, 0.5]
+    assert [c["t_end"] for c in fire] == [cli.RunConfig().t, 0.5]
     assert fire[0]["window"] == fire[1]["window"] == [-12, 12, 0, 10]
     assert fire[0]["records_sha256"] != fire[1]["records_sha256"]
 
@@ -351,6 +353,13 @@ def test_threads_do_not_change_results(tmp_path, monkeypatch):
     assert cli.main(heights + ["--out", str(h2), "--threads", "2"]) == EXIT_OK
     for name in ("heights.csv", "heights_summary.json"):
         assert file_hash(h1 / name) == file_hash(h2 / name)
+    # And the one-arm points of an xi scan.
+    xiscan = ["xiscan", "--seed", "9", "--samples", "300"]
+    x1, x2 = tmp_path / "x1", tmp_path / "x2"
+    assert cli.main(xiscan + ["--out", str(x1), "--threads", "1"]) == EXIT_OK
+    assert cli.main(xiscan + ["--out", str(x2), "--threads", "2"]) == EXIT_OK
+    for name in ("xiscan.csv", "xiscan_fit.json"):
+        assert file_hash(x1 / name) == file_hash(x2 / name)
 
 
 def test_format_config_round_trips():
@@ -367,6 +376,23 @@ def test_resolved_threads_capped_at_cpu_count(monkeypatch):
     assert RunConfig().resolved_threads() == 1
     monkeypatch.setenv("FIRELAB_THREADS", str(10**6))
     assert RunConfig().resolved_threads() == 3
+
+
+@pytest.mark.parametrize("flags, env", [
+    (["--threads", "-1"], None),
+    ([], "-3"),
+    ([], "two"),
+])
+def test_bad_threads_exit_2(tmp_path, monkeypatch, flags, env):
+    # A negative FIRELAB_THREADS is refused like a negative --threads.
+    if env is None:
+        monkeypatch.delenv("FIRELAB_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("FIRELAB_THREADS", env)
+    out = tmp_path / "o"
+    assert cli.main(["onearm", *flags, "--samples", "4", "--n-list", "3",
+                     "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
 
 
 def test_pool_built_only_for_sampling_commands(tmp_path, monkeypatch):

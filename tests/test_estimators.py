@@ -96,7 +96,7 @@ def test_subcritical_decay_is_semilog_linear():
     for i, n in enumerate(ns):
         est = estimate_one_arm(n, t, PHI, 30_000, False, clocks.derive_seed(77, i))
         pts.append(est.point)
-    fit = fit_decay(ns, pts, model="n_exp")
+    fit = fit_decay(ns, pts)
     assert fit.r2 > 0.98
     xi, _ = xi_from_fit(fit)
     assert xi > 0
@@ -151,24 +151,26 @@ def test_ladder_matches_walk_at_xiscan_points():
 
 def test_fit_decay_exact_exponential():
     ns = list(range(10, 61, 5))
-    ps = [math.exp(-n / 10.0) for n in ns]
-    xi, _ = xi_from_fit(fit_decay(ns, ps, model="exp"))
+    ps = [n * math.exp(-n / 10.0) for n in ns]
+    fit = fit_decay(ns, ps)
+    assert fit.model == "n_exp"
+    xi, _ = xi_from_fit(fit)
     assert xi == pytest.approx(10.0, abs=1e-6)
 
 
 def test_fit_decay_prefactor_form():
-    # Data of the bound form c*n*exp(-n/xi); the matching model recovers xi
-    # within 5% over n up to 10*xi.
+    # Data of the bound form c*n*exp(-n/xi): the fit recovers xi within 5%
+    # over n up to 10*xi.
     for xi_true in (5.0, 10.0):
         ns = [max(2, int(m * xi_true)) for m in (0.5, 1, 2, 4, 7, 10)]
         ps = [0.17 * n * math.exp(-n / xi_true) for n in ns]
-        xi, _ = xi_from_fit(fit_decay(ns, ps, model="n_exp"))
+        xi, _ = xi_from_fit(fit_decay(ns, ps))
         assert abs(xi - xi_true) / xi_true < 0.05
 
 
 def test_fit_correlation_length_degenerate():
     with pytest.raises(FitError):
-        fit_decay([10, 20, 30], [0.5, 0.0, 0.1], model="exp")
+        fit_decay([10, 20, 30], [0.5, 0.0, 0.1])
     with pytest.raises(ValueError):
         fit_correlation_length(T_C - 0.2, PHI, [5, 10], 10, 1)
     with pytest.raises(ValueError):
