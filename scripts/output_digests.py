@@ -40,6 +40,8 @@ COMMANDS = (
     ("verify", "--seed", "6", "--verify-runs", "12", "--t", "0.5"),
     ("events", "--n-list", "24,32", "--samples", "1500", "--x", "2.5",
      "--phi", "0.8"),
+    # Event A's ladder climbs past its first rung at n = 64.
+    ("events", "--n-list", "64", "--samples", "400"),
     ("heights", "--region", "cone", "--heights-list", "48,96", "--samples",
      "200"),
     ("onearm", "--seed", "5", "--samples", "200", "--n-list", "8,16,32",

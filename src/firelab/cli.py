@@ -499,21 +499,21 @@ def cmd_verify(config: RunConfig) -> int:
 def build_parser() -> argparse.ArgumentParser:
     """One ``--name-with-dashes`` flag per RunConfig field, for every command
     but ``defaults``; a flag keeps its value's text for ``_parse_value``, and
-    a bare boolean flag means true."""
+    a bare boolean flag means true.  No flag may be abbreviated."""
     parser = argparse.ArgumentParser(
-        prog="firelab",
+        prog="firelab", allow_abbrev=False,
         description="Forest-fire simulation and percolation estimators on the "
                     "half-plane triangular lattice")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("simulate", "onearm", "xiscan", "events", "heights", "verify"):
-        p = sub.add_parser(name)
+        p = sub.add_parser(name, allow_abbrev=False)
         p.add_argument("--config", default=None, help="config file path")
         for f in _FIELDS.values():
             bare = {"nargs": "?", "const": "true"} if f.type is bool else {}
             p.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
                            default=None, help=f.metadata.get("help"), **bare)
-    sub.add_parser("defaults")
+    sub.add_parser("defaults", allow_abbrev=False)
     return parser
 
 
@@ -530,6 +530,9 @@ def main(argv=None) -> int:
         return EXIT_OK
     try:
         config = load_config(args.config, _overrides_from_args(args))
+        if args.command in ("simulate", "verify") and not config.t > 0.0:
+            raise ConfigError(f"t must be > 0 for {args.command}: the fire "
+                              "runs on (0, t]")
         _require_empty_out(config.out)
     except (ConfigError, TypeError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

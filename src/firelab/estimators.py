@@ -6,7 +6,8 @@ order-independent merge, so worker pools do not change results.  One-arm
 and coupled proof-event samples go to the pool in chunks of SEED_CHUNK
 seeds; a chunk climbs the window ladder together (one-arm engine 'auto' at
 every t; the coupled sampler's thresholds, one per seed, on one query per
-chunk), and each seed's result is the same in any chunk.
+chunk for B-D and one for A), and each seed's result is the same in any
+chunk.
 
 Event conventions for the proof events at a boundary site w = (ceil(x)+n, 0)
 with rhombus target S = surface(w, n, phi) clipped to the half-plane, and
@@ -26,13 +27,15 @@ T = first time w connects to S in the growth process:
   The growth process dominates the fire: a site in rows l >= 1 is
   occupied in the fire at time s only if its first arrival is <= s.  So a
   record at time s <= j_last lies inside one cluster of the growth
-  snapshot ``arrivals <= j_last`` with row 0 held vacant.  Two necessary
-  conditions follow and can only reject a sample before the fire runs:
-  (1) the first arrival of (k_w, 1) or of (k_w - 1, 1) is <= j_last, and
-  (2) w connects to the cone on that snapshot.  The snapshot uses <= at
+  snapshot ``arrivals <= j_last`` with row 0 held vacant, and w connecting
+  to the cone on that snapshot is a necessary condition that can only
+  reject a sample before the fire runs.  A window-ladder query per chunk
+  of seeds asks it, one bound per seed, on ``event_a_window`` from row 1
+  up: its first rung answers False when (k_w, 1) and (k_w - 1, 1) are both
+  vacant, and its answer is the condition.  The snapshot uses <= at
   j_last, not <, so it holds every record-time occupancy even when a
   record's time equals an arrival; a tie cannot reject a hit.  Only a
-  sample that passes both runs the fire, and its records decide A.
+  sample that passes runs the fire, and its records decide A.
 
 Growth only adds sites, so w is connected at time s exactly when T <= s,
 and T < s exactly when w is connected at ``math.nextafter(s, -inf)``, the
@@ -40,7 +43,7 @@ largest float below s.  B, C and D are therefore threshold queries with no
 search for T: C is "connected just below t_slice", B is "j_last exists
 and w is connected just below j_last", and D is B and not C.  The coupled
 sampler asks them of one window-ladder query per chunk of seeds, one
-threshold per seed (``percolation._ladder_query``).
+threshold per seed (``percolation._ladder_query``), as it asks A's check.
 The separate C and D estimators ask them of the full window's snapshot
 ``arrivals < s``, a second path for the coupled counts; only the reference
 ``percolation.first_connection_time`` searches for T.
@@ -412,31 +415,35 @@ def event_a_window(params: EventParams) -> Window:
     return replace(win, k_max=max(win.k_max, params.w_site[0] + params.n + 4))
 
 
-def _event_a(seed: int, params: EventParams, jumps: list[float]) -> bool:
-    """One fire-process sample of the cone-connection event given w's clock
-    jumps in (0, t_c], read off the destruction records of a run up to the
-    last of them.  Two necessary conditions on the growth snapshot at
-    j_last (module docstring) rule out most samples before the run."""
-    w = params.w_site
-    if not jumps:
-        return False
-    j_last = jumps[-1]
-    if all(clocks.first_arrival_value(seed, y) > j_last
-           for y in ((w[0], 1), (w[0] - 1, 1))):
-        return False
+def _event_a(seeds: list[int], params: EventParams,
+             jumps: list[list[float]]) -> list[bool]:
+    """Fire-process samples of the cone-connection event for a chunk of
+    seeds, given each seed's jumps of w's clock in (0, t_c], read off the
+    destruction records of a run up to the last of them.  One ladder query
+    for the chunk, one bound per seed, asks the growth snapshot at j_last
+    (module docstring) first; only the seeds it connects run the fire."""
     win, cone = event_a_window(params), params.cone()
-    occ = clocks.first_arrival_bits(seed, win) <= clocks.arrival_bound(j_last)
-    occ[0] = False
-    if not is_connected(w, cone, win, occ):
+    query = percolation._ladder_query(params.surface(), seeds, True, cone,
+                                      replace(win, l_min=1))
+    conn = query([js[-1] if js else math.nan for js in jumps]).tolist()
+    return [c and _records_reach_cone(params, firesim.run(win, seed, t_end=js[-1])[1])
+            for seed, js, c in zip(seeds, jumps, conn)]
+
+
+def _records_reach_cone(params: EventParams, records) -> bool:
+    """Whether some record holds a half-plane neighbour of w and a site
+    within distance 1 of the cone: one pass over every record's sites."""
+    if not records:
         return False
-    _, records = firesim.run(win, seed, t_end=j_last)
-    near_cone = percolation.target_mask(win, cone, True)
-    for rec in records:
-        ks, ls = rec.sites[:, 0], rec.sites[:, 1]
-        at_w = (ls == 1) & ((ks == w[0]) | (ks == w[0] - 1))
-        if at_w.any() and near_cone[ls - win.l_min, ks - win.k_min].any():
-            return True
-    return False
+    w, win = params.w_site, event_a_window(params)
+    near_cone = percolation.target_mask(win, params.cone(), True)
+    sites = np.concatenate([rec.sites for rec in records])
+    starts = np.cumsum([0] + [rec.size for rec in records][:-1])
+    ks, ls = sites[:, 0], sites[:, 1]
+    at_w = (ls == 1) & ((ks == w[0]) | (ks == w[0] - 1))
+    near = near_cone[ls - win.l_min, ks - win.k_min]
+    return bool((np.logical_or.reduceat(at_w, starts)
+                 & np.logical_or.reduceat(near, starts)).any())
 
 
 @dataclass
@@ -455,7 +462,8 @@ def _sample_coupled(seeds: list[int], params: EventParams,
     B, C and D are asked of one ladder query for the chunk, one threshold
     per seed: "connected just below t_c" of every seed, "just below
     t_slice" of the seeds that connect, and "just below j_last" only where
-    C and j_last against t_slice leave B open.  NaN leaves a seed out.
+    C and j_last against t_slice leave B open.  NaN leaves a seed out.  A
+    asks one more ladder query, to the cone (``_event_a``).
     """
     query = percolation._ladder_query(params.surface(), seeds, True)
     t_slice = params.slice_time
@@ -468,11 +476,12 @@ def _sample_coupled(seeds: list[int], params: EventParams,
                for c, c_s, js in zip(conn, c_ev, jumps)]
     b_ev = query([math.nan if s else _before(js[-1])
                   for s, js in zip(settled, jumps)]).tolist()
+    a_ev = _event_a(seeds, params, jumps) if include_a else [False] * len(seeds)
     rows = []
-    for seed, js, c, c_s, s, b in zip(seeds, jumps, conn, c_ev, settled, b_ev):
+    for a, js, c, c_s, s, b in zip(a_ev, jumps, conn, c_ev, settled, b_ev):
         if s:
             b = bool(c and js and c_s)
-        rows.append((include_a and _event_a(seed, params, js), b, c_s, b and not c_s, c))
+        rows.append((a, b, c_s, b and not c_s, c))
     return rows
 
 

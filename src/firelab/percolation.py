@@ -9,6 +9,7 @@ ending within Euclidean distance 1 of S; w's own state is ignored.
 
 import math
 from collections import deque
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -73,17 +74,22 @@ def target_mask(window: Window, target, half_plane: bool) -> np.ndarray:
     raise TypeError(f"unsupported target {target!r}")
 
 
-@lru_cache(maxsize=64)
-def _query(w: Site, target, window: Window, half_plane: bool):
-    """Per-query setup: the window check, the grid indices of w's
-    neighbours in the window as a (rows, cols) pair of arrays and the
-    target band (cached per query geometry; read-only)."""
-    check_window(window, target, half_plane)
+def _ends(w: Site, target, window: Window, half_plane: bool):
+    """The grid indices of w's neighbours in the window as a (rows, cols)
+    pair of arrays, and the target band (read-only)."""
     ys = half_plane_neighbors(w) if half_plane else neighbors(w)
     starts = np.array([window.index(y) for y in ys if window.contains(y)],
                       dtype=np.intp).reshape(-1, 2).T
     starts.flags.writeable = False
     return starts, target_mask(window, target, half_plane)
+
+
+@lru_cache(maxsize=64)
+def _query(w: Site, target, window: Window, half_plane: bool):
+    """Per-query setup: the window check, then ``_ends`` (cached per query
+    geometry)."""
+    check_window(window, target, half_plane)
+    return _ends(w, target, window, half_plane)
 
 
 # The label structure of a stack of grids: TRI_STRUCTURE in its middle
@@ -253,36 +259,42 @@ MAX_STACK_SITES = 1 << 18
 KEEP_SITES = 1 << 15
 
 
-def _ladder_query(surface: RhombusSurface, seeds, half_plane: bool):
+def _ladder_query(surface: RhombusSurface, seeds, half_plane: bool,
+                  target=None, window: Window | None = None):
     """``connected(t)``: for each seed, ``is_connected`` for the rhombus
-    centre on the snapshot at time t of the full window,
-    ``window_for_rhombus`` of the surface, as a bool array, each decided on
-    the smallest rung of a window ladder that settles it.  ``t`` is one
-    time for all seeds or a sequence of one time per seed; a seed whose
-    time holds no site (``arrival_bound`` -1: NaN, or <= 0) answers False
-    without hashing, so NaN leaves a seed out of a call.
+    centre w on the snapshot at time t of the full window, as a bool array,
+    each decided on the smallest rung of a window ladder that settles it.
+    The target and the full window are the surface and
+    ``window_for_rhombus`` of it, or ``target`` inside ``window``: a window
+    that starts above row 0 holds the rows below it vacant (event A asks
+    for the cone on rows l >= 1).  ``t`` is one time for all seeds or a
+    sequence of one time per seed; a seed whose time holds no site
+    (``arrival_bound`` -1: NaN, or <= 0) answers False without hashing, so
+    NaN leaves a seed out of a call.
 
-    Rung m is ``window_for_rhombus(centre, m, ...)`` for m = n/4, n/16, ...
-    >= MIN_RUNG, smallest first, then the full window; the rungs nest.  A
-    site's clock depends only on (seed, site), so a rung sees the full
-    window's bits.  A start cluster of a rung is part of a start cluster of
-    the full window, so one that meets the target band decides True.  One
-    that touches no rung edge the full window extends past is a whole
-    cluster, so when none meets the band the answer is False.  On each rung
-    the seeds still undecided form (seeds, rows, cols) stacks of at most
-    MAX_STACK_SITES sites, each labelled plane by plane in one call on
-    ``bits <= q[:, None, None]``, with q the seeds' ``arrival_bound`` of
-    their times, equal to ``first_arrival_grid(...) <= t`` (``bits <= q``
-    with one int when the stack's seeds share a bound); the seeds a rung
-    decides drop out before the next rung.  One seed is hashed and labelled
-    as a plain grid.
+    Rung m is ``window_for_rhombus(w, m, ...)`` clipped to the full window,
+    for m = n/4, n/16, ... >= MIN_RUNG, smallest first, then the full
+    window; the rungs nest, and a rhombus's own rungs lie inside its window
+    unclipped.  A site's clock depends only on (seed, site), so a rung sees
+    the full window's bits.  A start cluster of a rung is part of a start
+    cluster of the full window, so one that meets the target band decides
+    True.  One that touches no rung edge the full window extends past is a
+    whole cluster, so when none meets the band the answer is False; with no
+    occupied start there is no start cluster, and the first rung answers
+    False.  On each rung the seeds still undecided form (seeds, rows, cols)
+    stacks of at most MAX_STACK_SITES sites, each labelled plane by plane in
+    one call on ``bits <= q[:, None, None]``, with q the seeds'
+    ``arrival_bound`` of their times, equal to ``first_arrival_grid(...) <=
+    t`` (``bits <= q`` with one int when the stack's seeds share a bound);
+    the seeds a rung decides drop out before the next rung.  One seed is
+    hashed and labelled as a plain grid.
 
     The query keeps hashed bits between calls: a group of seeds asked again
     on a rung where all of them have kept bits is not hashed again.  It
     keeps a stack, or one seed's grid, of at most KEEP_SITES sites; larger
     bits are compared and dropped before they are labelled.
     """
-    rungs = _ladder(surface, half_plane)
+    rungs = _ladder(surface, half_plane, target, window)
     seeds = list(seeds)
     kept = {}  # per rung: hashed bits by seed index
 
@@ -336,23 +348,32 @@ def _ladder_query(surface: RhombusSurface, seeds, half_plane: bool):
 
 
 @lru_cache(maxsize=64)
-def _ladder(surface: RhombusSurface, half_plane: bool) -> tuple:
-    """The rungs of a ladder query for the rhombus centre, smallest first.
+def _ladder(surface: RhombusSurface, half_plane: bool, target=None,
+            window: Window | None = None) -> tuple:
+    """The rungs of a ladder query from the rhombus centre to ``target``
+    inside ``window`` (default: the surface inside its own window), smallest
+    first.
 
     A rung is ``(window, starts, watched, n_band)``: the rung window, the
     grid indices of the centre's in-window neighbours in it, and the flat
     indices of its sites in the target band (the first ``n_band``) and then
-    of its sites on an edge the full window extends past.  Cached per query
-    geometry; the arrays are read-only.
+    of its sites on an edge the full window extends past.  The full window,
+    down to row 0 if it starts above it, must pass ``check_window``.
+    Cached per query geometry; the arrays are read-only.
     """
     center = surface.center
-    window = window_for_rhombus(center, surface.n, surface.phi, half_plane)
+    if target is None:
+        target = surface
+        window = window_for_rhombus(center, surface.n, surface.phi, half_plane)
+    check_window(replace(window, l_min=min(window.l_min, 0)), target, half_plane)
     subs = [window]
     m = surface.n // RUNG_RATIO
     while m >= MIN_RUNG:
-        subs.append(window_for_rhombus(center, m, surface.phi, half_plane))
+        sub = window_for_rhombus(center, m, surface.phi, half_plane)
+        subs.append(Window(max(sub.k_min, window.k_min), min(sub.k_max, window.k_max),
+                           max(sub.l_min, window.l_min), min(sub.l_max, window.l_max)))
         m //= RUNG_RATIO
-    starts, tmask = _query(center, surface, window, half_plane)
+    starts, tmask = _ends(center, target, window, half_plane)
     rungs = []
     for sub in reversed(subs):
         r0, c0 = sub.l_min - window.l_min, sub.k_min - window.k_min

@@ -111,11 +111,16 @@ def test_flag_spellings(flags, expected):
 
 def test_invalid_config_produces_no_output(tmp_path, capsys):
     out = tmp_path / "run"
-    # t = 0.9 fails validation; t = 0 passes it, and the fire run refuses it.
+    # t = 0.9 fails validation; t = 0 passes it, and the fire commands
+    # refuse it by the config key t, not firesim.run's t_end.
     for args in (["simulate", "--t", "0.9"], ["simulate", "--t", "0"],
                  ["verify", "--t", "0"]):
+        capsys.readouterr()
         assert cli.main(args + ["--out", str(out)]) == EXIT_CONFIG, args
         assert not out.exists()
+        if args[-1] == "0":
+            err = capsys.readouterr().err
+            assert err.startswith(f"config error: t must be > 0 for {args[0]}"), err
     # Keys that RunConfig no longer has.
     cfg = tmp_path / "removed.cfg"
     for line in ("engine = walk", "t_end = 0.5", "samples_per_n = 300",
@@ -132,6 +137,15 @@ def test_invalid_config_produces_no_output(tmp_path, capsys):
             cli.main(["xiscan", *flags, "--out", str(out)])
         assert exc.value.code == EXIT_CONFIG, flags
         assert not out.exists()
+
+
+def test_flags_are_not_abbreviated(tmp_path):
+    # "--samp" is no spelling of --samples.
+    for args in (["onearm", "--samp", "5"], ["--vers"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(args + ["--out", str(tmp_path / "run")])
+        assert exc.value.code == EXIT_CONFIG, args
+    assert not (tmp_path / "run").exists()
 
 
 def test_simulate_deterministic(tmp_path):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -280,7 +281,8 @@ def test_coupled_counts_match_separate_estimators():
 
 
 def _sample_event_a(seed, params):
-    return estimators._event_a(seed, params, clocks.jumps_in(seed, params.w_site, 0.0, T_C))
+    jumps = clocks.jumps_in(seed, params.w_site, 0.0, T_C)
+    return estimators._event_a([seed], params, [jumps])[0]
 
 
 def _bisection_reference(seed, params, include_a):
@@ -373,11 +375,11 @@ def test_coupled_counts_do_not_depend_on_chunk_size(n, include_a, monkeypatch):
     asked = []
     ladder_query = percolation._ladder_query
 
-    def recording(surface, seeds, half_plane):
-        connected = ladder_query(surface, seeds, half_plane)
+    def recording(surface, seeds, half_plane, *where):
+        connected = ladder_query(surface, seeds, half_plane, *where)
 
         def counted(t):
-            asked.append(t)
+            asked.append("A" if where else "BCD")
             return connected(t)
         return counted
 
@@ -390,7 +392,8 @@ def test_coupled_counts_do_not_depend_on_chunk_size(n, include_a, monkeypatch):
             stats = coupled_event_stats(EventParams(n), samples, 2424, include_a)
         results.append(({k: e.successes for k, e in stats.estimates.items()},
                          stats.violations))
-    assert len(asked) == 3, n  # t_c, t_slice and some j_last, all per seed
+    # B-D ask t_c, t_slice and some j_last, all per seed; A asks j_last.
+    assert sorted(asked) == ["A"] * include_a + ["BCD"] * 3, n
     assert all(r == results[0] for r in results), (n, results)
     counts = results[0][0]
     assert counts["B"] > 0 and counts["C"] > 0 and counts["D"] > 0, counts
@@ -497,18 +500,70 @@ def _event_a_from_records(seed, params, jumps):
 
 @pytest.mark.parametrize("n, base_seed, samples", [(16, 505, 3000), (8, 31, 400)])
 def test_event_a_shortcuts_keep_every_hit(n, base_seed, samples):
-    # The neighbour check and the growth-snapshot connection query only
-    # reject samples: A equals the records of an unconditional run on
-    # criterion 5's seeds and on small-n seeds.
+    # The growth-snapshot connection query only rejects samples: A equals
+    # the records of an unconditional run on criterion 5's seeds and on
+    # small-n seeds, asked in one-seed chunks and in SEED_CHUNK chunks.
     params = EventParams(n)
-    hits = 0
-    for i in range(samples):
-        seed = clocks.derive_seed(base_seed, i)
-        jumps = clocks.jumps_in(seed, params.w_site, 0.0, T_C)
-        want = _event_a_from_records(seed, params, jumps)
-        assert estimators._event_a(seed, params, jumps) == want, i
-        hits += want
-    assert hits >= 1
+    seeds = [clocks.derive_seed(base_seed, i) for i in range(samples)]
+    jumps = [clocks.jumps_in(seed, params.w_site, 0.0, T_C) for seed in seeds]
+    wants = [_event_a_from_records(seed, params, js) for seed, js in zip(seeds, jumps)]
+    for i, (seed, js) in enumerate(zip(seeds, jumps)):
+        assert estimators._event_a([seed], params, [js]) == [wants[i]], i
+    step = estimators.SEED_CHUNK
+    got = [a for g in range(0, samples, step)
+           for a in estimators._event_a(seeds[g:g + step], params, jumps[g:g + step])]
+    assert got == wants
+    assert sum(wants) >= 1
+
+
+@pytest.mark.parametrize("n, samples, small_rungs", [
+    (8, 300, False), (16, 300, False), (64, 200, False), (256, 10, False),
+    (16, 200, True), (64, 100, True)])
+def test_event_a_ladder_matches_full_window(n, samples, small_rungs, monkeypatch):
+    # A's snapshot check runs the fire for exactly the seeds with a jump of
+    # w's clock whose neighbourhood connects to the cone on the full
+    # window's snapshot at j_last with row 0 held vacant.  With rungs of
+    # ratio 2 down to 1 most seeds climb several of them.
+    params = EventParams(n)
+    w, cone, window = params.w_site, params.cone(), estimators.event_a_window(params)
+    seeds = [clocks.derive_seed(2626, 1000 * n + i) for i in range(samples)]
+    jumps = [clocks.jumps_in(seed, w, 0.0, T_C) for seed in seeds]
+    wants = []
+    for seed, js in zip(seeds, jumps):
+        want = False
+        if js:
+            occ = clocks.first_arrival_bits(seed, window) <= clocks.arrival_bound(js[-1])
+            occ[0] = False
+            want = percolation.is_connected(w, cone, window, occ)
+        wants.append(want)
+    ran, hashed = [], []
+    run, first_arrival_bits = firesim.run, clocks.first_arrival_bits
+
+    def recording_run(win, seed, t_end):
+        ran.append(seed)
+        return run(win, seed, t_end)
+
+    def recording_bits(seed, win):
+        hashed.append(win)
+        return first_arrival_bits(seed, win)
+
+    monkeypatch.setattr(firesim, "run", recording_run)
+    monkeypatch.setattr(clocks, "first_arrival_bits", recording_bits)
+    if small_rungs:
+        monkeypatch.setattr(percolation, "RUNG_RATIO", 2)
+        monkeypatch.setattr(percolation, "MIN_RUNG", 1)
+    percolation._ladder.cache_clear()
+    try:
+        estimators._event_a(seeds, params, jumps)
+        rungs = [r[0] for r in percolation._ladder(
+            params.surface(), True, cone, replace(window, l_min=1))]
+    finally:
+        percolation._ladder.cache_clear()
+    assert ran == [seed for seed, want in zip(seeds, wants) if want], n
+    assert hashed and all(win in rungs for win in hashed), n
+    if small_rungs:
+        assert len(rungs) >= 5 and any(wants), n
+        assert len(set(hashed)) >= 4, n  # some seeds climbed three rungs or more
 
 
 def test_borel_cantelli_known_series():

@@ -539,6 +539,53 @@ def test_ladder_query_per_seed_thresholds(monkeypatch):
             assert hashed == []
 
 
+def _hex_boards(L, seeds):
+    """L x L Hex boards at t_c, one plane per seed: every site occupied
+    with probability exactly 1/2 (up to 1e-16)."""
+    return (clocks.first_arrival_bits(list(seeds), Window(0, L - 1, 0, L - 1))
+            <= clocks.arrival_bound(T_C))
+
+
+def _hex_sides(L):
+    """The left column and the bottom row as start index arrays, and the
+    right column and the top row as band masks, of an L x L board."""
+    idx, zero = np.arange(L), np.zeros(L, dtype=np.intp)
+    right, top = np.zeros((L, L), dtype=bool), np.zeros((L, L), dtype=bool)
+    right[:, -1] = top[-1] = True
+    return np.stack((idx, zero)), right, np.stack((zero, idx)), top
+
+
+def test_hex_boards_have_exactly_one_crossing():
+    # The Hex theorem (Gale 1979): on an axial L x L board with the six
+    # neighbours of the triangular lattice, exactly one of an occupied
+    # left-right crossing and a vacant bottom-top crossing exists.  This
+    # checks the neighbour structure and the labelling at every size.
+    seen = set()
+    for L, count in ((8, 150), (16, 100), (64, 60), (256, 12)):
+        left, right, bottom, top = _hex_sides(L)
+        seeds = [clocks.derive_seed(7, 1000 * L + i) for i in range(count)]
+        for i, occ in enumerate(_hex_boards(L, seeds)):
+            across = percolation._connects(occ, left, right)
+            up = percolation._connects(~occ, bottom, top)
+            assert across != up, (L, i)
+            seen.add(across)
+    assert seen == {True, False}
+
+
+def test_hex_left_right_crossing_has_probability_one_half():
+    # At p = 1/2 the board is symmetric under k <-> l with occupied <->
+    # vacant, so P(left-right) is exactly 1/2 at every L.  4,000 boards at
+    # L = 64 give SE 0.0079; the band is 3.5 SE.
+    L, samples = 64, 4000
+    left, right, _, _ = _hex_sides(L)
+    seeds = [clocks.derive_seed(31337, i) for i in range(samples)]
+    hits = 0
+    for g in range(0, samples, 64):
+        labels, is_start = percolation._start_clusters(_hex_boards(L, seeds[g:g + 64]), left)
+        hits += int(is_start[labels[:, :, -1]].any(axis=1).sum())
+    assert abs(hits / samples - 0.5) < 3.5 * math.sqrt(0.25 / samples), hits
+
+
 def test_half_plane_implies_full_plane_samplewise():
     # Same seed: a half-plane connection path also exists in the full plane.
     for i in range(300):
