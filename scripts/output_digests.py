@@ -52,6 +52,9 @@ COMMANDS = (
     # Five samples: the summary's CI ends fall outside the sample and are
     # written as "-inf" and "inf".
     ("heights", "--heights-list", "8", "--samples", "5"),
+    # A flat cone meets most t_c cells: the widest restricted fire run.
+    ("heights", "--region", "cone", "--phi", "0.3", "--width-factor", "4",
+     "--heights-list", "24,48", "--samples", "60"),
 )
 
 

@@ -103,8 +103,10 @@ class RunConfig:
             raise ConfigError(
                 f"t must lie in [0, t_c]; the process is capped at "
                 f"t_c = log 2 ~ {T_C:.6f}")
-        if not math.isfinite(self.x):
-            raise ConfigError("x must be finite")
+        # Windows around x take its integer part; beyond 2**31 their
+        # columns overflow the clock hash's int64 axes.
+        if not abs(self.x) <= 2 ** 31:
+            raise ConfigError("x must be finite with |x| <= 2**31")
         if self.window_width < 2 or self.window_height < 2:
             raise ConfigError("window dimensions must be >= 2")
         try:
@@ -113,6 +115,10 @@ class RunConfig:
             raise ConfigError(str(exc)) from exc
         if not self.n_list or any(n < 1 for n in self.n_list):
             raise ConfigError("n_list must be nonempty positive integers")
+        for key in ("n_list", "t_list", "heights_list"):
+            values = getattr(self, key)
+            if len(set(values)) < len(values):
+                raise ConfigError(f"{key} must not repeat an entry")
         if len(self.t_list) < 3:
             raise ConfigError("t_list needs at least 3 times")
         if not all(0.0 <= t < T_C for t in self.t_list):

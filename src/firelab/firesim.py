@@ -13,22 +13,29 @@ site is occupied exactly when its cursor is below t, which keeps the
 rings of row 0 are hashed for the whole row at once and sorted by (t, k);
 each fire is a breadth-first search from the ring's two row-1 neighbours
 that moves every burnt site's cursor past t.  The cursors live in a padded
-float array that the search indexes flat through a memoryview; gaps 1 and
-2 are hashed for the whole window with the arrivals, and only a site's
-third and later burn steps hash a scalar gap from its stream state.  A
-fire keeps the flat indices it burnt, and all records' (k, l) sites are
-built in one pass after the last ring; the final occupancy is one
-comparison of the cursors with t_end.  The reference for this loop
+float array that the search indexes flat through a memoryview.  The loop
+runs on a set of live sites, the others holding +inf cursors: ``run``'s
+are the sites whose first arrival is by t_end, since no other site is
+ever occupied.  Gaps 1 and 2 are hashed only for the live sites, and only
+a site's third and later burn steps hash a scalar gap from its stream
+state.  A fire keeps the flat indices it burnt, and all records' (k, l)
+sites are built in one pass after the last ring; the final occupancy is
+one comparison of the cursors with t_end.  The reference for this loop
 is ``invariants.naive_run``, which applies every clock jump of every site
 in (t, l, k) order; ``invariants.fire_run_failures`` compares the two.
 
 The process factorizes over fire cells: the clusters of the growth
-snapshot at t_c together with their outer boundaries.  A cell whose
-closure stays clear of the left, right and top window edges evolves
-exactly as in the infinite volume, which is what certification means here.
+snapshot at t_c together with their outer boundaries.  A fire up to t_c
+burns a connected set of sites grown by t_c, so it lies inside one t_c
+cell, and a cell's records depend only on its own clocks and on the rings
+of row 0.  ``height_bracket`` therefore runs the fire only on the cells
+that hold a region site.  A cell whose closure stays clear of the left,
+right and top window edges evolves exactly as in the infinite volume,
+which is what certification means here.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy import ndimage
@@ -77,25 +84,42 @@ def run(window: Window, seed: int, t_end: float = T_C):
         raise ValueError("forest-fire windows live on the half-plane, l_min = 0")
     states = clocks.window_states(seed, window)
     arrivals = clocks.gap_from_state(states, 0)
+    # A site whose first arrival comes after t_end is never occupied.
+    cursors, records = _fire(window, states, arrivals, arrivals <= t_end, t_end)
+    occ = (cursors <= t_end).astype(np.uint8)
+    return FireState(window, occ, t_end, arrivals), records
+
+
+def _fire(window: Window, states: np.ndarray, arrivals: np.ndarray,
+          live: np.ndarray, t_end: float):
+    """The ring loop to ``t_end`` on the sites of ``live`` in rows l >= 1.
+
+    Every other site's cursor is +inf, so it never burns; ``live`` must hold
+    every site that the records to be kept can reach.  Returns the window's
+    final cursors and the records, in the order of ``run``.
+    """
     ring_t, ring_k = _ring_schedule(window, t_end, states, arrivals)
 
-    # Clock cursors (module docstring), each site's jump 1 (its arrival plus
-    # gap 1, the float sum of a cursor's first step) and its gap 2, padded
-    # by one site on each side.  Row 0, where trees never grow, and the
-    # padding hold +inf and are never occupied.  A memoryview reads as fast
-    # as a list, writes into its array and builds no Python float for the
-    # sites that no fire reaches.
-    stride = window.n_cols + 2
+    # Clock cursors (module docstring), each live site's jump 1 (its arrival
+    # plus gap 1, the float sum of a cursor's first step) and its gap 2, in
+    # arrays padded by one site on each side.  Row 0, where trees never
+    # grow, the padding and the sites outside ``live`` hold +inf.  A
+    # memoryview reads as fast as a list, writes into its array and builds
+    # no Python float for the sites that no fire reaches.
+    n_cols, stride = window.n_cols, window.n_cols + 2
+    idx = np.flatnonzero(live[1:]) + n_cols  # flat window index, row >= 1
+    at = idx + 2 * (idx // n_cols) + stride + 1  # its flat padded index
+    h, a = states.reshape(-1)[idx], arrivals.reshape(-1)[idx]
 
-    def padded(grid: np.ndarray) -> np.ndarray:
-        flat = np.full((window.n_rows + 2, stride), np.inf)
-        flat[2:-1, 1:-1] = grid[1:]
+    def padded(values: np.ndarray) -> np.ndarray:
+        flat = np.full((window.n_rows + 2) * stride, np.inf)
+        flat[at] = values
         return flat
 
-    cur_a = padded(arrivals)
-    cur = memoryview(cur_a.reshape(-1))
-    jump1 = memoryview((cur_a + padded(clocks.gap_from_state(states, 1))).reshape(-1))
-    gap2 = memoryview(padded(clocks.gap_from_state(states, 2)).reshape(-1))
+    cur_a = padded(a)
+    cur = memoryview(cur_a)
+    jump1 = memoryview(padded(a + clocks.gap_from_state(h, 1)))
+    gap2 = memoryview(padded(clocks.gap_from_state(h, 2)))
     state = memoryview(states.reshape(-1))  # a site's stream state, as an int
     jumps = {}  # burnt site's flat index -> index j of its cursor's jump
     k0, l0 = window.k_min - 1, window.l_min - 1
@@ -111,7 +135,7 @@ def run(window: Window, seed: int, t_end: float = T_C):
                 s += gap2[i]
             else:
                 r, c = divmod(i, stride)
-                s += clocks.gap_from_state(state[(r - 1) * window.n_cols + c - 1], j)
+                s += clocks.gap_from_state(state[(r - 1) * n_cols + c - 1], j)
         cur[i] = s
         jumps[i] = j
 
@@ -139,8 +163,7 @@ def run(window: Window, seed: int, t_end: float = T_C):
     ends = np.cumsum([len(burned) for _, _, burned in fires]).tolist()
     records = [DestructionRecord(t, (k, 0), sites[end - len(burned):end])
                for (t, k, burned), end in zip(fires, ends)]
-    occ = (cur_a[1:-1, 1:-1] <= t_end).astype(np.uint8)
-    return FireState(window, occ, t_end, arrivals), records
+    return cur_a.reshape(window.n_rows + 2, stride)[1:-1, 1:-1], records
 
 
 def _ring_schedule(window: Window, t_end: float, states: np.ndarray,
@@ -258,19 +281,40 @@ def _exact_at_record_time(arrivals: np.ndarray, record: DestructionRecord,
     return not _edge_band(cluster).any()
 
 
+@lru_cache(maxsize=16)
+def _region_sites(window: Window, region: ConeRegion | TubeRegion) -> np.ndarray:
+    """Flat indices of the window's sites in ``region``, by the test of
+    ``_record_tops`` (cached per window and region)."""
+    ls = np.arange(window.l_min, window.l_max + 1, dtype=np.float64)[:, None]
+    ks = np.arange(window.k_min, window.k_max + 1)
+    idx = np.flatnonzero(region_select(ks + 0.5 * ls, SQRT3_2 * ls, region))
+    idx.flags.writeable = False
+    return idx
+
+
 def height_bracket(window: Window, seed: int, region: ConeRegion | TubeRegion,
                    strict: bool = False) -> HeightBracket:
     """Destruction height in ``region`` from one run, as a
     :class:`HeightBracket`.
 
-    The record-time rule runs only on region records whose t_c cell is
-    uncertified; a record in a certified cell is exact under it too.  The
-    bracket covers the records that the window's own run produces and does
-    not depend on ``strict``, which only the t_c cell rule's ``certified``
-    reads.
+    The fire runs only on the t_c cells that hold a region site (module
+    docstring): every region record lies in one of them, and their records
+    are the full run's.  The record-time rule runs only on region records
+    whose t_c cell is uncertified; a record in a certified cell is exact
+    under it too.  The bracket covers the records that the window's own run
+    produces and does not depend on ``strict``, which only the t_c cell
+    rule's ``certified`` reads.
     """
-    state, records = run(window, seed, T_C)
-    labels, cell_certified = _decompose(window, state.arrivals)
+    # Looked up before the window's grids exist: a first call's temporaries
+    # then do not add to theirs.
+    in_region = _region_sites(window, region)
+    states = clocks.window_states(seed, window)
+    arrivals = clocks.gap_from_state(states, 0)
+    labels, cell_certified = _decompose(window, arrivals)
+    meets = np.zeros(cell_certified.size, dtype=bool)
+    meets[labels.reshape(-1)[in_region]] = True
+    meets[0] = False
+    _, records = _fire(window, states, arrivals, meets[labels], T_C)
 
     height = lower = 0.0
     record_ok = all_exact = True
@@ -283,7 +327,7 @@ def height_bracket(window: Window, seed: int, region: ConeRegion | TubeRegion,
             lower = max(lower, top)
             continue
         record_ok = False
-        if _exact_at_record_time(state.arrivals, records[r], window):
+        if _exact_at_record_time(arrivals, records[r], window):
             lower = max(lower, top)
         else:
             all_exact = False

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -193,6 +194,38 @@ def test_rejects_degenerate_width_factor_and_non_finite_x(tmp_path, capsys, args
     assert cli.main(args + ["--out", str(out)]) == EXIT_CONFIG
     assert not out.exists()
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, x", [
+    (["events", "--n-list", "8", "--samples", "10"], 1e300),
+    (["heights", "--heights-list", "8", "--samples", "3"], -1e300),
+    (["onearm", "--n-list", "8", "--samples", "3"], 2 ** 31 + 1),
+])
+def test_rejects_huge_x(tmp_path, capsys, args, x):
+    # A larger |x| than 2**31 is refused before any window is built.
+    out = tmp_path / "x"
+    assert cli.main(args + [f"--x={x}", "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("config error: x must be")
+    limit = math.copysign(2 ** 31, x)
+    assert cli.main(args + [f"--x={limit}", "--out", str(out)]) == EXIT_OK
+
+
+@pytest.mark.parametrize("args, key", [
+    (["onearm", "--n-list", "8,8"], "n_list"),
+    (["onearm", "--n-list", "8,8,16"], "n_list"),
+    (["events", "--n-list", "8,8,12"], "n_list"),
+    (["xiscan", "--t-list", "0.4,0.5,0.50,0.6"], "t_list"),
+    (["heights", "--heights-list", "8,8"], "heights_list"),
+])
+def test_rejects_repeated_list_entries(tmp_path, capsys, args, key):
+    # A repeated entry would count one fit point twice or write one
+    # window's results twice.
+    out = tmp_path / "x"
+    assert cli.main(args + ["--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith(
+        f"config error: {key} must not repeat an entry")
 
 
 def test_onearm_rejects_zero_samples(tmp_path):

@@ -564,6 +564,49 @@ def test_height_bracket_matches_per_record_loop(height):
     assert cells_seen == {True, False}
 
 
+@pytest.mark.parametrize("height", [16, 24, 48])
+def test_region_cell_fire_matches_full_run(height, monkeypatch):
+    # height_bracket runs the fire only in the t_c cells that hold a region
+    # site.  Its records must be the full run's records in those cells, in
+    # the same order, with the same time, ignition and site set.
+    window = height_window(height)
+    regions = (ConeRegion(0.0, PHI), ConeRegion(2.5, 0.8), TubeRegion(1.0, 1.2))
+    ls, ks = np.indices((window.n_rows, window.n_cols))
+    ls = ls + window.l_min
+    xs, ys = ks + window.k_min + 0.5 * ls, SQ3 / 2 * ls
+    fires, fire = [], firesim._fire
+
+    def recording_fire(*args):
+        out = fire(*args)
+        fires.append(out[1])
+        return out
+
+    monkeypatch.setattr(firesim, "_fire", recording_fire)
+    kept = dropped = 0
+    for i in range(50):
+        seed = clocks.derive_seed(808, 500_000 + i)
+        _, full = run(window, seed, T_C)
+        labels, _ = ndimage.label(clocks.first_arrival_grid(seed, window) <= T_C,
+                                  structure=TRI_STRUCTURE)
+        for region in regions:
+            fires.clear()
+            height_bracket(window, seed, region)
+            (got,) = fires
+            meets = set(labels[region_select(xs, ys, region)].tolist()) - {0}
+            want = [rec for rec in full
+                    if labels[rec.sites[0, 1] - window.l_min,
+                              rec.sites[0, 0] - window.k_min] in meets]
+            assert [(r.time, r.ignition) for r in got] == \
+                [(r.time, r.ignition) for r in want], (seed, region)
+            for a, b in zip(got, want):
+                assert set(map(tuple, a.sites.tolist())) == \
+                    set(map(tuple, b.sites.tolist())), (seed, region)
+            kept += len(want)
+            dropped += len(full) - len(want)
+    # The restriction keeps records and leaves others out.
+    assert kept > 0 and dropped > 0
+
+
 def test_two_state_check_matches_naive_run_on_the_igniters():
     # Seed by seed, the two-state indicator equals a fire in the naive run
     # restricted to the interior site (0, 1) and its igniters (0, 0) and
