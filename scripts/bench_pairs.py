@@ -13,7 +13,10 @@ result checks with perfbench's report of the environment, each side's
 median and quartiles per metric, and the pairs the change wins on each.
 After the pairs, the test suite (Tier-1) runs once in the change checkout,
 and its ``tier1`` block records the command, the passed and failed counts,
-the wall time and the TIER1_SLOWEST slowest test calls.
+the wall time, the machine's speed just before and just after the run
+(``speed()`` of the change checkout's ``perfbench/calibration.py``, so that
+a slower machine can be told apart from slower tests) and the
+TIER1_SLOWEST slowest test calls.
 With ``--workload all`` one run covers every workload in one interpreter
 and the metrics are keyed ``workload.metric``, as perfbench prints them;
 ``peak_rss_mb`` is then the process's peak so far, not one workload's.
@@ -21,6 +24,7 @@ and the metrics are keyed ``workload.metric``, as perfbench prints them;
 
 import argparse
 import hashlib
+import importlib.util
 import json
 import os
 import platform
@@ -59,15 +63,28 @@ def run_once(checkout: Path, workload: str, seed: int) -> dict:
             "environment": env}
 
 
+def load_calibration(checkout: Path):
+    """The checkout's ``perfbench/calibration.py``, imported from its file."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_calibration", checkout / "perfbench" / "calibration.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def run_tier1(checkout: Path) -> dict:
     """One Tier-1 run in the checkout: its counts (a collection error
-    counts as failed), wall time and slowest test calls (pytest's
-    ``--durations`` report)."""
+    counts as failed), wall time, the machine speed just before and just
+    after it, and the slowest test calls (pytest's ``--durations``
+    report)."""
+    calibration = load_calibration(checkout)
     env = dict(os.environ, PYTHONPATH="src")
+    speed_before = calibration.speed()
     t0 = time.monotonic()
     proc = subprocess.run([sys.executable, *TIER1_ARGS], cwd=checkout, env=env,
                           capture_output=True, text=True)
     wall = time.monotonic() - t0
+    speed_after = calibration.speed()
     lines = proc.stdout.strip().splitlines()
     counts = {word.rstrip("s"): int(num) for num, word in
               re.findall(r"(\d+) (passed|failed|errors?)", lines[-1] if lines else "")}
@@ -79,7 +96,10 @@ def run_tier1(checkout: Path) -> dict:
     return {"command": "PYTHONPATH=src python " + " ".join(TIER1_ARGS),
             "code": "change", "passed": counts.get("passed", 0),
             "failed": counts.get("failed", 0) + counts.get("error", 0),
-            "wall_s": round(wall, 2), "slowest_s": slowest}
+            "wall_s": round(wall, 2),
+            "machine_speed": {"before": round(speed_before, 3),
+                              "after": round(speed_after, 3)},
+            "slowest_s": slowest}
 
 
 def source_digest(checkout: Path) -> str:
@@ -145,8 +165,10 @@ def main(argv=None) -> int:
         print(f"{metric}: median {s['base']['median']:.4g} -> {s['change']['median']:.4g} "
               f"(x{s['median_ratio']:.3f}, base IQR {s['base_iqr']:.3g}), "
               f"change better in {s['change_wins']} pairs")
+    speed = tier1["machine_speed"]
     print(f"tier1: {tier1['passed']} passed, {tier1['failed']} failed "
-          f"in {tier1['wall_s']} s")
+          f"in {tier1['wall_s']} s (machine speed {speed['before']} before, "
+          f"{speed['after']} after)")
     ok = tier1["failed"] == 0 and all(r["failed"] == 0 for side in runs.values() for r in side)
     return 0 if ok else 1
 

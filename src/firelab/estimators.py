@@ -1,7 +1,13 @@
 """Monte-Carlo drivers and regressions over the growth and fire processes.
 
-Estimates are deterministic functions of (parameters, base seed, samples):
-sample i runs under ``derive_seed(base_seed, i)``, and aggregation is an
+Estimates are deterministic functions of (parameters, base seed, samples).
+Sample i runs under ``derive_seed(base_seed, i)`` in the one-arm and
+proof-event estimators, and under ``derive_seed(base_seed, 500_000 + i)``
+in ``height_distribution``, the same seeds at every window height.  The
+regressions derive one base seed per point: ``fit_correlation_length``
+estimates its i-th size (n increasing) from ``derive_seed(base_seed,
+10_000 + i)``, and ``scan_xi_exponent`` fits its j-th time (t increasing)
+from ``derive_seed(base_seed, 77_000 + j)``.  Aggregation is an
 order-independent merge, so worker pools do not change results.  One-arm
 and coupled proof-event samples go to the pool in chunks of SEED_CHUNK
 seeds; a chunk climbs the window ladder together (one-arm engine 'auto' at

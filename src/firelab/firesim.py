@@ -34,7 +34,7 @@ right and top window edges evolves exactly as in the infinite volume,
 which is what certification means here.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -72,8 +72,6 @@ class FireState:
     window: Window
     occ: np.ndarray
     t_end: float
-    # First clock arrivals on the window, hashed once per run.
-    arrivals: np.ndarray = field(repr=False)
 
 
 def run(window: Window, seed: int, t_end: float = T_C):
@@ -87,7 +85,7 @@ def run(window: Window, seed: int, t_end: float = T_C):
     # A site whose first arrival comes after t_end is never occupied.
     cursors, records = _fire(window, states, arrivals, arrivals <= t_end, t_end)
     occ = (cursors <= t_end).astype(np.uint8)
-    return FireState(window, occ, t_end, arrivals), records
+    return FireState(window, occ, t_end), records
 
 
 def _fire(window: Window, states: np.ndarray, arrivals: np.ndarray,
@@ -248,8 +246,8 @@ class HeightBracket:
     ``height`` and ``certified`` follow the t_c cell rule: ``height`` is
     the destruction height in the region over the records in certified
     t_c cells only, and ``certified`` states that no region record lies in
-    an uncertified cell (with ``strict``, that no uncertified cell's core
-    intersects the region).  The bracket dominates this rule:
+    an uncertified cell (with ``strict``, also that no uncertified cell
+    holds a region site).  The bracket dominates this rule:
     ``lower >= height``, and a certified sample has
     ``lower == upper == height``.  The certified cells are the bracket's
     fast path; ``height`` and ``certified`` stay only because the
@@ -277,8 +275,8 @@ def _exact_at_record_time(arrivals: np.ndarray, record: DestructionRecord,
     grown[0, :] = False
     labels, _ = ndimage.label(grown, structure=TRI_STRUCTURE)
     k0, l0 = int(record.sites[0, 0]), int(record.sites[0, 1])
-    cluster = labels == labels[l0 - window.l_min, k0 - window.k_min]
-    return not _edge_band(cluster).any()
+    lab = labels[l0 - window.l_min, k0 - window.k_min]
+    return not (_edge_band(labels) == lab).any()
 
 
 @lru_cache(maxsize=16)
@@ -332,12 +330,9 @@ def height_bracket(window: Window, seed: int, region: ConeRegion | TubeRegion,
         else:
             all_exact = False
     upper = lower if all_exact else SQRT3_2 * window.l_max
-
-    certified = record_ok
-    if strict and certified:
-        rr, cc = np.nonzero(~cell_certified[labels] & (labels > 0))
-        ks, ls = cc + window.k_min, rr + window.l_min
-        certified = not region_select(ks + 0.5 * ls, SQRT3_2 * ls, region).any()
+    # ``meets`` marks the cells that hold a region site; strict asks that
+    # none of them is uncertified.
+    certified = record_ok and not (strict and (meets & ~cell_certified).any())
     return HeightBracket(height, certified, lower, upper)
 
 

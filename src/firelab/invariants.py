@@ -161,12 +161,12 @@ def connection_failures(cases, phi: float) -> list[str]:
 
 
 def engine_failures(cases, phi: float) -> list[str]:
-    """``cases`` are ``(seed, n, t, half_plane)``; for each, the grid and
-    walk one-arm engines must give the same indicator."""
+    """``cases`` are ``(seed, n, t, half_plane)``; for each, the ladder
+    ('auto') and walk one-arm engines must give the same indicator."""
     failures = []
     for i, (seed, n, t, half_plane) in enumerate(cases):
-        a = percolation.one_arm_indicators(n, t, phi, [seed], half_plane, "grid")[0]
+        a = percolation.one_arm_indicators(n, t, phi, [seed], half_plane, "auto")[0]
         b = percolation.one_arm_indicators(n, t, phi, [seed], half_plane, "walk")[0]
         if a != b:
-            failures.append(f"case {i}: grid={a} walk={b}")
+            failures.append(f"case {i}: auto={a} walk={b}")
     return failures

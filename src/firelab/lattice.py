@@ -5,9 +5,9 @@ Sites are axial integer pairs ``(k, l)`` embedded in the plane as
 The half-plane lattice is the subset ``l >= 0``; its inner boundary is the
 row ``l == 0`` (the integers on the real axis).
 
-All regions are closed sets: boundary points count as inside.  Membership
-and distance predicates work on the embedded point of a site; adjacency is
-exact integer arithmetic.
+All regions are closed sets: boundary points count as inside.  One rule,
+:func:`region_select`, tests region membership, on arrays of embedded
+points; adjacency is exact integer arithmetic.
 """
 
 import math
@@ -120,13 +120,6 @@ class ConeRegion:
     def cot_phi(self) -> float:
         return math.cos(self.phi) / math.sin(self.phi)
 
-    def contains_point(self, x: float, y: float) -> bool:
-        return y >= 0.0 and abs(x - self.apex_x) <= y * self.cot_phi
-
-    def contains(self, site: Site) -> bool:
-        x, y = embed(site)
-        return self.contains_point(x, y)
-
     def half_width_at(self, y: float) -> float:
         return y * self.cot_phi
 
@@ -142,24 +135,6 @@ class TubeRegion:
     def __post_init__(self):
         if not 0.0 < self.phi < math.pi:
             raise ValueError("tube angle must be in (0, pi)")
-
-    def distance_to_centerline(self, px: float, py: float) -> float:
-        return _halfline_dist(px - self.x, py, math.cos(self.phi), math.sin(self.phi))
-
-    def contains_point(self, px: float, py: float) -> bool:
-        return py >= 0.0 and self.distance_to_centerline(px, py) <= 0.5
-
-    def contains(self, site: Site) -> bool:
-        x, y = embed(site)
-        return self.contains_point(x, y)
-
-
-def _halfline_dist(dx: float, dy: float, ux: float, uy: float) -> float:
-    """Distance from the point (dx, dy) to the half-line t*(ux, uy), t >= 0."""
-    t = dx * ux + dy * uy
-    if t <= 0.0:
-        return math.hypot(dx, dy)
-    return math.hypot(dx - t * ux, dy - t * uy)
 
 
 @dataclass(frozen=True)
@@ -252,7 +227,7 @@ def near_surface_mask(window: Window, surface: RhombusSurface,
 def _halfline_dist_sq_grid(dx: np.ndarray, dy: np.ndarray,
                            ux: float, uy: float) -> np.ndarray:
     """Squared distance from each point (dx, dy) to the half-line
-    t*(ux, uy), t >= 0 (the array form of :func:`_halfline_dist`)."""
+    t*(ux, uy), t >= 0."""
     t = np.maximum(dx * ux + dy * uy, 0.0)
     return (dx - t * ux) ** 2 + (dy - t * uy) ** 2
 

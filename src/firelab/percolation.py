@@ -65,13 +65,16 @@ def check_window(window: Window, target, half_plane: bool) -> None:
 def target_mask(window: Window, target, half_plane: bool) -> np.ndarray:
     """Grid mask of sites within distance 1 of the target region.
 
-    Cached per (window, target); callers must treat the array as read-only.
+    Cached per (window, target); the array is read-only.
     """
     if isinstance(target, RhombusSurface):
-        return near_surface_mask(window, target, half_plane)
-    if isinstance(target, ConeRegion):
-        return near_cone_mask(window, target)
-    raise TypeError(f"unsupported target {target!r}")
+        mask = near_surface_mask(window, target, half_plane)
+    elif isinstance(target, ConeRegion):
+        mask = near_cone_mask(window, target)
+    else:
+        raise TypeError(f"unsupported target {target!r}")
+    mask.flags.writeable = False
+    return mask
 
 
 def _ends(w: Site, target, window: Window, half_plane: bool):
@@ -222,11 +225,12 @@ def one_arm_indicators(n: int, t: float, phi: float, seeds,
     """Bernoulli samples of the one-arm event for the origin, one per seed,
     as a bool array.
 
-    ``engine='auto'`` (or ``'grid'``) climbs a ladder of windows around the
-    origin with all seeds at once (see :func:`_ladder_query`);
-    ``engine='walk'`` grows each seed's origin cluster lazily, the
-    independent oracle.  Both produce identical indicators for the same
-    seed, equal to ``is_connected`` on the full window's snapshot.
+    ``engine='auto'`` climbs a ladder of windows around the origin with all
+    seeds at once (see :func:`_ladder_query`); ``engine='walk'`` grows each
+    seed's origin cluster lazily, the independent oracle.  Both produce
+    identical indicators for the same seed, equal to ``is_connected`` on
+    the full window's snapshot.  ``'grid'`` is an old name of ``'auto'``,
+    kept only because the benchmark's workloads still spell it.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -383,9 +387,10 @@ def _ladder(surface: RhombusSurface, half_plane: bool, target=None,
         edge[:, 0] |= sub.k_min > window.k_min
         edge[:, -1] |= sub.k_max < window.k_max
         band = np.flatnonzero(tmask[r0:r0 + sub.n_rows, c0:c0 + sub.n_cols])
-        rungs.append((sub,
-                      starts - np.array([[r0], [c0]]),
-                      np.concatenate((band, np.flatnonzero(edge))), band.size))
+        sub_starts = starts - np.array([[r0], [c0]])
+        watched = np.concatenate((band, np.flatnonzero(edge)))
+        sub_starts.flags.writeable = watched.flags.writeable = False
+        rungs.append((sub, sub_starts, watched, band.size))
     return tuple(rungs)
 
 

@@ -42,7 +42,7 @@ def test_c1_half_plane_one_arm_exponent():
     points = []
     for i, n in enumerate(ns):
         est = estimate_one_arm(n, T_C, PHI, samples, True,
-                               derive_seed(101, n), engine="grid")
+                               derive_seed(101, n), engine="auto")
         points.append(est.point)
     fit = linear_fit(np.log(ns), np.log(points),
                      x_transform="log", y_transform="log", model="powerlaw")

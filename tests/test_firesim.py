@@ -518,8 +518,9 @@ def _per_record_bracket(window, seed, region, strict, cells_seen):
     """``height_bracket`` as a loop over the records, each record's region
     heights from ``_region_heights``; adds the certified flag of every
     region record's t_c cell to ``cells_seen``."""
-    state, records = run(window, seed, T_C)
-    labels, cell_certified = firesim._decompose(window, state.arrivals)
+    _, records = run(window, seed, T_C)
+    arrivals = clocks.first_arrival_grid(seed, window)
+    labels, cell_certified = firesim._decompose(window, arrivals)
     height = lower = 0.0
     record_ok = all_exact = True
     for rec in records:
@@ -535,7 +536,7 @@ def _per_record_bracket(window, seed, region, strict, cells_seen):
             lower = max(lower, top)
             continue
         record_ok = False
-        if firesim._exact_at_record_time(state.arrivals, rec, window):
+        if firesim._exact_at_record_time(arrivals, rec, window):
             lower = max(lower, top)
         else:
             all_exact = False

@@ -13,6 +13,7 @@ from firelab.lattice import (
     embed,
     near_surface_mask,
     neighbors,
+    region_select,
 )
 
 
@@ -76,6 +77,12 @@ def test_neighbors_symmetric_on_window():
                 assert s in neighbors(v)
 
 
+def _in_region(region, site):
+    """``region_select`` on one site's embedded point."""
+    x, y = embed(site)
+    return bool(region_select(np.array([x]), np.array([y]), region)[0])
+
+
 def _cone_membership_by_basis(cone, site):
     # Solve z - apex = a e^{i phi} + b e^{i(pi-phi)} for (a, b); member iff
     # both are >= 0 (up to round-off).
@@ -88,8 +95,8 @@ def _cone_membership_by_basis(cone, site):
 
 def test_cone_membership_examples():
     cone = ConeRegion(0.0, math.pi / 3)
-    assert cone.contains((0, 1))      # z = e^{i pi/3}
-    assert not cone.contains((2, 1))  # basis solution has b = -2
+    assert _in_region(cone, (0, 1))      # z = e^{i pi/3}
+    assert not _in_region(cone, (2, 1))  # basis solution has b = -2
 
 
 def test_cone_membership_matches_basis_solution():
@@ -98,7 +105,7 @@ def test_cone_membership_matches_basis_solution():
         cone = ConeRegion(rng.uniform(-3, 3), rng.uniform(0.2, 1.4))
         for _ in range(50):
             site = (rng.randint(-30, 30), rng.randint(0, 30))
-            assert cone.contains(site) == _cone_membership_by_basis(cone, site)
+            assert _in_region(cone, site) == _cone_membership_by_basis(cone, site)
 
 
 def test_cone_monotone_in_angle():
@@ -108,21 +115,25 @@ def test_cone_monotone_in_angle():
         phi2 = rng.uniform(phi1, 1.5)
         wide, narrow = ConeRegion(0.0, phi1), ConeRegion(0.0, phi2)
         site = (rng.randint(-20, 20), rng.randint(0, 20))
-        if narrow.contains(site):
-            assert wide.contains(site)
+        if _in_region(narrow, site):
+            assert _in_region(wide, site)
 
 
 def test_tube_membership_examples():
     tube = TubeRegion(0.0, math.pi / 2)
-    assert tube.contains((-1, 2))      # z = i sqrt(3), on the center line
-    assert not tube.contains((0, 2))   # z = 1 + i sqrt(3), distance 1
+    assert _in_region(tube, (-1, 2))      # z = i sqrt(3), on the center line
+    assert not _in_region(tube, (0, 2))   # z = 1 + i sqrt(3), distance 1
 
 
 def test_tube_distance_below_start():
-    tube = TubeRegion(0.0, math.pi / 2)
-    # Distance from a point left of the start is to the endpoint itself.
-    assert tube.distance_to_centerline(-2.0, 0.0) == pytest.approx(2.0)
-    assert tube.distance_to_centerline(0.3, -0.4) == pytest.approx(0.5)
+    tube = TubeRegion(0.0, math.pi / 4)
+    # Behind the start the distance is to the start point, not to the
+    # centre line: (-0.5, 0.1) lies 0.42 from the line but 0.51 from the
+    # start; (-0.4, 0.1) lies 0.41 from the start.
+    xs, ys = np.array([-0.5, -0.4]), np.array([0.1, 0.1])
+    assert region_select(xs, ys, tube).tolist() == [False, True]
+    # Points below the real axis are outside, however close.
+    assert not region_select(np.array([0.0]), np.array([-0.1]), tube)[0]
 
 
 def test_rhombus_distance_center_square():
@@ -192,14 +203,49 @@ def test_window_validation_and_indexing():
     assert w.site(*w.index((1, 2))) == (1, 2)
 
 
+def _halfline_dist_numeric(tube, site):
+    """Distance from a site's embedded point to the tube's centre line, by
+    minimising over the half-line's parameter numerically."""
+    px, py = embed(site)
+    ux, uy = math.cos(tube.phi), math.sin(tube.phi)
+
+    def d(t):
+        return math.hypot(px - tube.x - t * ux, py - t * uy)
+
+    # The nearest point lies within the start's distance along the line.
+    res = minimize_scalar(d, bounds=(0.0, d(0.0) + 1.0), method="bounded",
+                          options={"xatol": 1e-12})
+    return min(d(0.0), res.fun)
+
+
 def test_vectorized_region_select_matches_region_classes():
-    from firelab.lattice import region_select
+    # region_select against references that do not share its closed form:
+    # the cone's basis solution and a numeric distance to the tube's
+    # centre line (sites within 1e-9 of the tube's edge are skipped).
     rng = random.Random(2)
+
+    def check_tube(tube, site):
+        dist = _halfline_dist_numeric(tube, site)
+        if abs(dist - 0.5) > 1e-9:
+            assert _in_region(tube, site) == (dist <= 0.5), (tube, site, dist)
+        return dist <= 0.5
+
     for _ in range(3000):
         cone = ConeRegion(rng.uniform(-3, 3), rng.uniform(0.2, 1.4))
         tube = TubeRegion(rng.uniform(-3, 3), rng.uniform(0.2, 2.9))
         site = (rng.randint(-25, 25), rng.randint(0, 25))
-        x, y = embed(site)
-        xs, ys = np.array([x]), np.array([y])
-        assert bool(region_select(xs, ys, cone)[0]) == cone.contains(site)
-        assert bool(region_select(xs, ys, tube)[0]) == tube.contains(site)
+        assert _in_region(cone, site) == _cone_membership_by_basis(cone, site)
+        check_tube(tube, site)
+    # Random sites rarely fall inside a tube, so also check every site of a
+    # window for a few tubes.  The distance to the centre line's full line
+    # bounds the half-line's from below: sites beyond 1 of it lie outside.
+    inside = 0
+    for _ in range(10):
+        tube = TubeRegion(rng.uniform(-3, 3), rng.uniform(0.2, 2.9))
+        for site in Window(-25, 25, 0, 25).sites():
+            x, y = embed(site)
+            if abs((x - tube.x) * math.sin(tube.phi) - y * math.cos(tube.phi)) > 1.0:
+                assert not _in_region(tube, site), (tube, site)
+            else:
+                inside += check_tube(tube, site)
+    assert inside > 200

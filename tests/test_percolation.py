@@ -160,9 +160,13 @@ def test_tube_window_holds_the_tube_band(phi):
         window = window_for_tube(tube, l_top)
         assert (window.l_min, window.l_max) == (0, l_top)
         big = Window(window.k_min - 40, window.k_max + 40, 0, l_top)
-        near = [site for site in big.sites()
-                if tube.distance_to_centerline(*embed(site)) <= 0.5 + 1.0 + PAD]
-        assert near and all(window.contains(site) for site in near)
+        # Distance of every site of ``big`` to the centreline half-line.
+        X, Y = big.coord_grids()
+        ux, uy = math.cos(phi), math.sin(phi)
+        t = np.maximum((X - x) * ux + Y * uy, 0.0)
+        rows, cols = np.nonzero(np.hypot(X - x - t * ux, Y - t * uy) <= 0.5 + 1.0 + PAD)
+        assert rows.size and all(window.contains(big.site(r, c))
+                                 for r, c in zip(rows.tolist(), cols.tolist()))
         check_window(window, tube, True)
         for short in _short_windows(window):
             with pytest.raises(WindowTooSmallError):
@@ -537,6 +541,28 @@ def test_ladder_query_per_seed_thresholds(monkeypatch):
             query = percolation._ladder_query(surface, seeds, True)
             assert not query([math.nan, 0.0, -1.0] * 20).any()
             assert hashed == []
+
+
+def test_cached_geometry_arrays_are_read_only():
+    # target_mask and _ladder are cached per query geometry, so a write into
+    # one of their arrays would change every later query of that geometry.
+    from firelab.estimators import event_a_window
+    params = EventParams(16)
+    win = event_a_window(params)
+    rhombus = RhombusSurface((0, 0), 64, PHI)
+    arrays = [percolation.target_mask(window_for_rhombus((0, 0), 64, PHI, True),
+                                      rhombus, True),
+              percolation.target_mask(win, params.cone(), True)]
+    for rungs in (percolation._ladder(rhombus, True),
+                  percolation._ladder(params.surface(), True, params.cone(),
+                                      Window(win.k_min, win.k_max, 1, win.l_max))):
+        assert len(rungs) > 1
+        for _, starts, watched, _ in rungs:
+            arrays += [starts, watched]
+    for array in arrays:
+        assert array.size
+        with pytest.raises(ValueError):
+            array.flat[0] = array.flat[0]
 
 
 def _hex_boards(L, seeds):
