@@ -123,12 +123,14 @@ def _bits_from_state(h: np.ndarray, j: int) -> np.ndarray:
     return x
 
 
-def _uniform_from_state(h: np.ndarray, j: int) -> np.ndarray:
-    """``_scalar_uniform`` over a uint64 array of states."""
-    u = _bits_from_state(h, j).astype(np.float64)
-    u += 0.5
-    u *= 2.0 ** -53
-    return u
+def _gaps_of_bits(bits: np.ndarray) -> np.ndarray:
+    """``_gap_of_bits`` over a uint64 array of 53-bit integers: the array
+    path of ``gap_from_state`` and of the fire's live-site floats."""
+    g = bits + 0.5  # a fresh float64 array
+    g *= -2.0 ** -53  # -u, exactly: the negation commutes with the scaling
+    np.log1p(g, out=g)
+    np.negative(g, out=g)
+    return g
 
 
 def gap_from_state(h, j: int):
@@ -140,11 +142,7 @@ def gap_from_state(h, j: int):
     # while libm differs by 1 ulp on ~0.7% of inputs.
     if not isinstance(h, np.ndarray):
         return -float(np.log1p(-_scalar_uniform(h, j)))
-    g = _uniform_from_state(h, j)
-    np.negative(g, out=g)
-    np.log1p(g, out=g)
-    np.negative(g, out=g)
-    return g
+    return _gaps_of_bits(_bits_from_state(h, j))
 
 
 def uniform(seed: int, site: Site, j: int) -> float:

@@ -9,15 +9,16 @@ Between two rings the fire only adds trees, so a run processes only the
 rings.  Every site in rows l >= 1 keeps a clock cursor: its first arrival,
 then after each burn its first jump past the fire.  At a ring at time t a
 site is occupied exactly when its cursor is below t, which keeps the
-(t, l, k) order in which a ring comes before a growth at the same t.  The
-rings of row 0 are hashed for the whole row at once and sorted by (t, k);
-each fire is a breadth-first search from the ring's two row-1 neighbours
-that moves every burnt site's cursor past t.  The cursors live in a padded
-float array that the search indexes flat through a memoryview.  The loop
-runs on a set of live sites, the others holding +inf cursors: ``run``'s
-are the sites whose first arrival is by t_end, since no other site is
-ever occupied.  Gaps 1 and 2 are hashed only for the live sites, and only
-a site's third and later burn steps hash a scalar gap from its stream
+(t, l, k) order in which a ring comes before a growth at the same t.  Each
+fire is a breadth-first search from the ring's two row-1 neighbours that
+moves every burnt site's cursor past t, a first step to jump 1 inline.
+The cursors live in a padded float array that the search indexes flat
+through a memoryview.  The loop runs on a set of live sites, the others
+holding +inf cursors: ``run``'s are the sites whose arrival is by t_end,
+``bits <= arrival_bound(t_end)`` on the window's one integer hash.  Float
+arrivals and gaps 1 and 2 exist only on the live sites, rings (sorted by
+(t, k)) only at the row-0 columns next to a live row-1 site, and only a
+site's third and later burn steps hash a scalar gap from its stream
 state.  A fire keeps the flat indices it burnt, and all records' (k, l)
 sites are built in one pass after the last ring; the final occupancy is
 one comparison of the cursors with t_end.  The reference for this loop
@@ -28,10 +29,11 @@ The process factorizes over fire cells: the clusters of the growth
 snapshot at t_c together with their outer boundaries.  A fire up to t_c
 burns a connected set of sites grown by t_c, so it lies inside one t_c
 cell, and a cell's records depend only on its own clocks and on the rings
-of row 0.  ``height_bracket`` therefore runs the fire only on the cells
-that hold a region site.  A cell whose closure stays clear of the left,
-right and top window edges evolves exactly as in the infinite volume,
-which is what certification means here.
+of row 0.  ``height_bracket`` therefore labels the t_c cells once, on the
+integer hash, runs the fire only on the cells that hold a region site and
+relabels a record's time only inside its cell.  A cell whose closure
+stays clear of the left, right and top window edges evolves exactly as in
+the infinite volume, which is what certification means here.
 """
 
 from dataclasses import dataclass
@@ -81,22 +83,25 @@ def run(window: Window, seed: int, t_end: float = T_C):
     if window.l_min != 0:
         raise ValueError("forest-fire windows live on the half-plane, l_min = 0")
     states = clocks.window_states(seed, window)
-    arrivals = clocks.gap_from_state(states, 0)
+    bits = clocks._bits_from_state(states, 0)
     # A site whose first arrival comes after t_end is never occupied.
-    cursors, records = _fire(window, states, arrivals, arrivals <= t_end, t_end)
+    live = bits <= clocks.arrival_bound(t_end)
+    cursors, records = _fire(window, states, bits, live, t_end)
     occ = (cursors <= t_end).astype(np.uint8)
     return FireState(window, occ, t_end), records
 
 
-def _fire(window: Window, states: np.ndarray, arrivals: np.ndarray,
+def _fire(window: Window, states: np.ndarray, bits: np.ndarray,
           live: np.ndarray, t_end: float):
-    """The ring loop to ``t_end`` on the sites of ``live`` in rows l >= 1.
+    """The ring loop to ``t_end`` on the sites of ``live`` in rows l >= 1,
+    from the window's stream states and first-draw ``bits``.
 
     Every other site's cursor is +inf, so it never burns; ``live`` must hold
-    every site that the records to be kept can reach.  Returns the window's
-    final cursors and the records, in the order of ``run``.
+    every site that the records to be kept can reach.  Only the live sites
+    get float arrivals and gaps.  Returns the window's final cursors and
+    the records, in the order of ``run``.
     """
-    ring_t, ring_k = _ring_schedule(window, t_end, states, arrivals)
+    ring_t, ring_k = _ring_schedule(window, t_end, states, bits, live)
 
     # Clock cursors (module docstring), each live site's jump 1 (its arrival
     # plus gap 1, the float sum of a cursor's first step) and its gap 2, in
@@ -107,7 +112,8 @@ def _fire(window: Window, states: np.ndarray, arrivals: np.ndarray,
     n_cols, stride = window.n_cols, window.n_cols + 2
     idx = np.flatnonzero(live[1:]) + n_cols  # flat window index, row >= 1
     at = idx + 2 * (idx // n_cols) + stride + 1  # its flat padded index
-    h, a = states.reshape(-1)[idx], arrivals.reshape(-1)[idx]
+    h = states.reshape(-1)[idx]
+    a = clocks._gaps_of_bits(bits.reshape(-1)[idx])
 
     def padded(values: np.ndarray) -> np.ndarray:
         flat = np.full((window.n_rows + 2) * stride, np.inf)
@@ -149,9 +155,14 @@ def _fire(window: Window, states: np.ndarray, arrivals: np.ndarray,
             burned = [start]
             for i in burned:
                 for d in offsets:
-                    if cur[i + d] < t:
-                        burn(i + d, t)
-                        burned.append(i + d)
+                    v = i + d
+                    if cur[v] < t:
+                        if v not in jumps and (s := jump1[v]) > t:
+                            cur[v] = s
+                            jumps[v] = 1
+                        else:
+                            burn(v, t)
+                        burned.append(v)
             fires.append((t, k, burned))
 
     # Every fire's flat indices become (k, l) sites in one pass; each
@@ -165,11 +176,15 @@ def _fire(window: Window, states: np.ndarray, arrivals: np.ndarray,
 
 
 def _ring_schedule(window: Window, t_end: float, states: np.ndarray,
-                   arrivals: np.ndarray):
-    """Every jump by ``t_end`` of the window's row-0 clocks, as lists of
-    times and ks in (t, k) order."""
-    ks = np.arange(window.k_min, window.k_max + 1)
-    h, t = states[0], arrivals[0]
+                   bits: np.ndarray, live: np.ndarray):
+    """Every jump by ``t_end`` of the row-0 clocks at the columns k where
+    (k, 1) or (k - 1, 1) is in ``live``, as lists of times and ks in
+    (t, k) order: a ring elsewhere meets two +inf cursors."""
+    live1 = live[1:2].any(axis=0)  # row 1; none in a one-row window
+    near = live1.copy()
+    near[1:] |= live1[:-1]
+    ks = np.arange(window.k_min, window.k_max + 1)[near]
+    h, t = states[0][near], clocks._gaps_of_bits(bits[0][near])
     all_t, all_k = [t[:0]], [ks[:0]]
     j = 0
     while (due := t <= t_end).any():
@@ -216,8 +231,9 @@ def _edge_band(grid: np.ndarray) -> np.ndarray:
                            grid[-2:, :].ravel()))
 
 
-def _decompose(window: Window, arrivals: np.ndarray):
-    """Label the t_c snapshot of the window's first-arrival grid.
+def _decompose(window: Window, bits: np.ndarray):
+    """Label the t_c snapshot ``bits <= arrival_bound(t_c)`` of the window's
+    first-draw bits, a heights sample's one whole-window labelling.
 
     Returns the label grid and ``certified``, a boolean array indexed by
     label.  A cell is certified when its closure avoids the left, right and
@@ -226,7 +242,8 @@ def _decompose(window: Window, arrivals: np.ndarray):
     """
     if window.l_min != 0:
         raise ValueError("cell decomposition lives on half-plane windows")
-    labels, n_lab = ndimage.label(arrivals <= T_C, structure=TRI_STRUCTURE)
+    labels, n_lab = ndimage.label(bits <= clocks.arrival_bound(T_C),
+                                  structure=TRI_STRUCTURE)
     certified = np.ones(n_lab + 1, dtype=bool)
     certified[_edge_band(labels)] = False
     certified[0] = False
@@ -260,18 +277,20 @@ class HeightBracket:
     upper: float
 
 
-def _exact_at_record_time(arrivals: np.ndarray, record: DestructionRecord,
-                          window: Window) -> bool:
+def _exact_at_record_time(bits: np.ndarray, cell: np.ndarray,
+                          record: DestructionRecord, window: Window) -> bool:
     """Record-time rule: the record is exact when the growth cluster at its
     time s that contains it, taken with row 0 vacant and with its outer
     boundary, stays clear of the left, right and top window edges.
 
     This is the cell factorisation of the module docstring with t_c
     replaced by s: up to time s that cluster's sites and its row-0
-    neighbours evolve as in the infinite volume.  The cluster lies inside
-    the record's t_c cell, so the rule never certifies less than the cell.
+    neighbours evolve as in the infinite volume.  Clusters only grow with
+    time, so this one lies inside the record's t_c cell (the boolean grid
+    ``cell``), the only part of ``bits <= arrival_bound(s)`` labelled, and
+    the rule never certifies less than the cell.
     """
-    grown = arrivals <= record.time
+    grown = (bits <= clocks.arrival_bound(record.time)) & cell
     grown[0, :] = False
     labels, _ = ndimage.label(grown, structure=TRI_STRUCTURE)
     k0, l0 = int(record.sites[0, 0]), int(record.sites[0, 1])
@@ -307,12 +326,12 @@ def height_bracket(window: Window, seed: int, region: ConeRegion | TubeRegion,
     # then do not add to theirs.
     in_region = _region_sites(window, region)
     states = clocks.window_states(seed, window)
-    arrivals = clocks.gap_from_state(states, 0)
-    labels, cell_certified = _decompose(window, arrivals)
+    bits = clocks._bits_from_state(states, 0)
+    labels, cell_certified = _decompose(window, bits)
     meets = np.zeros(cell_certified.size, dtype=bool)
     meets[labels.reshape(-1)[in_region]] = True
     meets[0] = False
-    _, records = _fire(window, states, arrivals, meets[labels], T_C)
+    _, records = _fire(window, states, bits, meets[labels], T_C)
 
     height = lower = 0.0
     record_ok = all_exact = True
@@ -320,12 +339,13 @@ def height_bracket(window: Window, seed: int, region: ConeRegion | TubeRegion,
     for r in np.flatnonzero(tops > -np.inf).tolist():
         top = float(tops[r])
         k0, l0 = records[r].sites[0].tolist()  # its t_c cell is the record's
-        if cell_certified[labels[l0 - window.l_min, k0 - window.k_min]]:
+        lab = labels[l0 - window.l_min, k0 - window.k_min]
+        if cell_certified[lab]:
             height = max(height, top)
             lower = max(lower, top)
             continue
         record_ok = False
-        if _exact_at_record_time(arrivals, records[r], window):
+        if _exact_at_record_time(bits, labels == lab, records[r], window):
             lower = max(lower, top)
         else:
             all_exact = False

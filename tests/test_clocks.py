@@ -13,7 +13,8 @@ from firelab.lattice import Window
 def uniform_grid(seed, window, j=0):
     """``uniform(seed, site, j)`` over all window sites, from the array
     state chain; the tests hold it bit-identical to the scalar path."""
-    return clocks._uniform_from_state(clocks.window_states(seed, window), j)
+    bits = clocks._bits_from_state(clocks.window_states(seed, window), j)
+    return (bits + 0.5) * 2.0 ** -53
 
 
 def axial_grids(window):
@@ -170,7 +171,7 @@ def test_array_draws_leave_states_unchanged():
     for h in (states, states[0], states[:, 1::3]):
         for j in (0, 1, 7):
             clocks.gap_from_state(h, j)
-            clocks._uniform_from_state(h, j)
+            clocks._bits_from_state(h, j)
             assert np.array_equal(states, kept)
 
 
@@ -229,6 +230,39 @@ def _gaps_of_bits(bits):
     u = np.add(np.asarray(bits, dtype=np.uint64), 0.5) * 2.0 ** -53
     with np.errstate(divide="ignore"):
         return -np.log1p(-u)
+
+
+def _unmix64(x):
+    """The inverse of ``clocks.mix64``: each xorshift undone by repeating
+    it, each product by the constant's inverse mod 2**64."""
+    mask = clocks.MASK64
+    for shift, mult in ((31, clocks.MIX_B), (27, clocks.MIX_A), (30, None)):
+        y = x
+        for _ in range(64 // shift):
+            y = x ^ (y >> shift)
+        x = y if mult is None else (y * pow(mult, -1, 1 << 64)) & mask
+    return x
+
+
+def test_gaps_of_bits_is_the_gap_of_every_path():
+    # The array path from 53-bit integers to gaps equals gap_from_state on
+    # states whose j-th draw has those integers, and the scalar
+    # _gap_of_bits, bit for bit; the top integer's gap is +inf.
+    rng = np.random.default_rng(53)
+    bits = [0, 2**53 - 1] + rng.integers(0, 2**53, size=2000).tolist()
+    low = rng.integers(0, 2**11, size=len(bits)).tolist()
+    want = [clocks._gap_of_bits(b) for b in bits]
+    assert want[1] == math.inf
+    with np.errstate(divide="ignore"):
+        got = clocks._gaps_of_bits(np.array(bits, dtype=np.uint64))
+        assert got.tolist() == want
+        for j in (0, 1, 5):
+            states = [(_unmix64((b << 11) | r) - (j + 1) * clocks.GOLDEN) & clocks.MASK64
+                      for b, r in zip(bits, low)]
+            h = np.array(states, dtype=np.uint64)
+            assert clocks._bits_from_state(h, j).tolist() == bits
+            assert clocks.gap_from_state(h, j).tolist() == want
+            assert [clocks.gap_from_state(x, j) for x in states[:200]] == want[:200]
 
 
 def test_arrival_bound_band():

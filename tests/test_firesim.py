@@ -53,7 +53,7 @@ class FireCell:
 def decompose_cells(window: Window, seed: int) -> list[FireCell]:
     """Fire cells of the window under a seed: cores are exactly the
     clusters of the growth snapshot at t_c, flags from ``_decompose``."""
-    labels, certified = firesim._decompose(window, clocks.first_arrival_grid(seed, window))
+    labels, certified = firesim._decompose(window, clocks.first_arrival_bits(seed, window))
     cells = []
     for lab, slc in enumerate(ndimage.find_objects(labels), start=1):
         r0 = max(slc[0].start - 1, 0)
@@ -154,11 +154,12 @@ def test_run_deterministic():
 
 def test_invariant_suite():
     """On one fixed window, records and final occupancy equal the
-    definition-direct reference's at both horizons."""
+    definition-direct reference's at three horizons.  At t = 0.15 most
+    row-1 sites are not live, so the ring schedule drops most columns."""
     window = Window(-8, 8, 0, 7)
     for i in range(120):
         seed = clocks.derive_seed(2001, i)
-        for t_end in (T_C, 0.5):
+        for t_end in (T_C, 0.5, 0.15):
             _, failures = invariants.fire_run_failures(window, seed, t_end)
             assert failures == [], (seed, t_end)
 
@@ -168,6 +169,7 @@ def test_runner_matches_naive_reference(monkeypatch):
     the definition-direct reference's, over windows of varied shape."""
     cases = [(Window(-5 - (i % 4), 5 + (i % 3), 0, 4 + (i % 4)),
               clocks.derive_seed(123456, i)) for i in range(300)]
+    cases.append((Window(-4, 4, 0, 0), clocks.derive_seed(123456, 300)))  # row 0 only
     # How often each site burns in one reference run: a site's third burn
     # takes the run's scalar gaps (j >= 3), its first two the hashed ones.
     most_burns = 0
@@ -185,7 +187,7 @@ def test_runner_matches_naive_reference(monkeypatch):
 
     monkeypatch.setattr(invariants, "naive_run", counting_naive_run)
     for window, seed in cases:
-        for t_end in (T_C, 0.5):
+        for t_end in (T_C, 0.5, 0.15):
             _, failures = invariants.fire_run_failures(window, seed, t_end)
             assert failures == [], (window, seed, t_end)
     assert most_burns >= 3
@@ -458,7 +460,7 @@ def test_certified_height_strict_monotone_under_window_growth():
     from firelab.firesim import _decompose
 
     def strict_ok(window, seed):
-        labels, certified = _decompose(window, clocks.first_arrival_grid(seed, window))
+        labels, certified = _decompose(window, clocks.first_arrival_bits(seed, window))
         rr, cc = np.nonzero(~certified[labels] & (labels > 0))
         ks, ls = cc + window.k_min, rr + window.l_min
         xs, ys = ks + 0.5 * ls, ls * SQ3 / 2
@@ -492,15 +494,16 @@ def test_record_time_rule_exact_records_survive_window_doubling():
         _, records = run(small, seed, T_C)
         _, big_records = run(big, seed, T_C)
         big_keys = {key(rec) for rec in big_records}
-        arrivals = clocks.first_arrival_grid(seed, small)
-        labels, certified = _decompose(small, arrivals)
+        bits = clocks.first_arrival_bits(seed, small)
+        labels, certified = _decompose(small, bits)
         for rec in records:
-            if not _exact_at_record_time(arrivals, rec, small):
+            k0, l0 = rec.sites[0]
+            lab = labels[l0 - small.l_min, k0 - small.k_min]
+            if not _exact_at_record_time(bits, labels == lab, rec, small):
                 continue
             exact += 1
             assert key(rec) in big_keys
-            k0, l0 = rec.sites[0]
-            if not certified[labels[l0 - small.l_min, k0 - small.k_min]]:
+            if not certified[lab]:
                 beyond_cell += 1
     assert exact > 0
     # The rule certifies records that the t_c cell rule leaves out.
@@ -514,13 +517,28 @@ def _region_heights(rec, region):
     return ys[region_select(rec.sites[:, 0] + 0.5 * ls, ys, region)]
 
 
+def _grows_clear_of_edges(arrivals, rec, window):
+    """The record-time rule by its definition: the cluster of ``arrivals
+    <= rec.time`` that holds the record, labelled over the whole window
+    with row 0 vacant, has no site in the two outer columns on either
+    side or in the two top rows."""
+    grown = arrivals <= rec.time
+    grown[0, :] = False
+    labels, _ = ndimage.label(grown, structure=TRI_STRUCTURE)
+    k0, l0 = int(rec.sites[0, 0]), int(rec.sites[0, 1])
+    own = labels == labels[l0 - window.l_min, k0 - window.k_min]
+    return not (own[:, :2].any() or own[:, -2:].any() or own[-2:, :].any())
+
+
 def _per_record_bracket(window, seed, region, strict, cells_seen):
     """``height_bracket`` as a loop over the records, each record's region
-    heights from ``_region_heights``; adds the certified flag of every
-    region record's t_c cell to ``cells_seen``."""
+    heights from ``_region_heights`` and its record-time verdict from
+    ``_grows_clear_of_edges``; adds the certified flag of every region
+    record's t_c cell to ``cells_seen``."""
     _, records = run(window, seed, T_C)
     arrivals = clocks.first_arrival_grid(seed, window)
-    labels, cell_certified = firesim._decompose(window, arrivals)
+    labels, cell_certified = firesim._decompose(
+        window, clocks.first_arrival_bits(seed, window))
     height = lower = 0.0
     record_ok = all_exact = True
     for rec in records:
@@ -536,7 +554,7 @@ def _per_record_bracket(window, seed, region, strict, cells_seen):
             lower = max(lower, top)
             continue
         record_ok = False
-        if firesim._exact_at_record_time(arrivals, rec, window):
+        if _grows_clear_of_edges(arrivals, rec, window):
             lower = max(lower, top)
         else:
             all_exact = False
