@@ -55,6 +55,11 @@ COMMANDS = (
     # A flat cone meets most t_c cells: the widest restricted fire run.
     ("heights", "--region", "cone", "--phi", "0.3", "--width-factor", "4",
      "--heights-list", "24,48", "--samples", "60"),
+    # Refusals, which write no run directory: a degenerate fit (exit 4),
+    # every one-arm estimate being zero at one sample per point, and a
+    # window that clips the cone (exit 2).
+    ("xiscan", "--samples", "1", "--t-list", "0.1,0.2,0.3"),
+    ("heights", "--phi", "0.35", "--heights-list", "16", "--samples", "5"),
 )
 
 

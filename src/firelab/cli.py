@@ -1,14 +1,14 @@
 """Command-line front end: reproducible experiment runs with manifests.
 
-Subcommands: simulate | onearm | xiscan | events | heights | verify |
-defaults.  Configuration is a flat ``key = value`` text file overridden by
-CLI flags; every run directory, empty when the command starts, receives
-the output files plus a ``manifest.json`` with the effective config and
-per-file digests.
+Subcommands: the names of ``COMMANDS``, plus ``defaults``.  Configuration
+is a flat ``key = value`` text file overridden by CLI flags.  A command
+returns its output texts and ``main`` writes them into the run directory,
+empty when the command starts, plus a ``manifest.json`` with the effective
+config and per-file digests.
 
 Exit codes: 0 ok, 2 invalid config or non-empty output directory,
 3 runtime failure (traceback on stderr), 4 degenerate fit, 5 invariant
-violation.
+violation.  Exits 0 and 5 leave a run directory; 2, 3 and 4 leave none.
 """
 
 import argparse
@@ -24,6 +24,7 @@ import sys
 import tempfile
 import traceback
 import typing
+from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from multiprocessing import Pool
@@ -199,7 +200,7 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
         if not p.exists():
             raise ConfigError(f"config file not found: {path}")
         values.update(parse_config_text(p.read_text(encoding="utf-8")))
-    values.update({k: v for k, v in overrides.items() if v is not None})
+    values.update(overrides)
     config = RunConfig(**values)
     config.validate()
     return config
@@ -243,7 +244,7 @@ def csv_text(header: list[str], rows: list[tuple]) -> str:
 
 
 class RunDirectory:
-    """Collects output texts, then writes them plus a manifest into ``out``.
+    """Writes a command's output texts plus a manifest into ``out``.
 
     The files are written into a temporary sibling directory, which then
     replaces ``out`` in one rename, so ``out`` never holds a partial run.
@@ -255,13 +256,9 @@ class RunDirectory:
     def __init__(self, config: RunConfig, command: str):
         self.config = config
         self.command = command
-        self.files: dict[str, str] = {}
         self.started = datetime.now(timezone.utc).isoformat()
 
-    def add(self, name: str, text: str) -> None:
-        self.files[name] = text
-
-    def write(self) -> Path:
+    def write(self, files: dict[str, str]) -> Path:
         out = Path(self.config.out)
         out.parent.mkdir(parents=True, exist_ok=True)
         tmp = Path(tempfile.mkdtemp(prefix=f".{out.name}.", dir=out.parent))
@@ -271,7 +268,7 @@ class RunDirectory:
             os.umask(umask)
             tmp.chmod(0o777 & ~umask)
             digests = {}
-            for name, text in sorted(self.files.items()):
+            for name, text in sorted(files.items()):
                 data = text.encode("utf-8")
                 (tmp / name).write_bytes(data)
                 digests[name] = hashlib.sha256(data).hexdigest()
@@ -307,26 +304,25 @@ def _estimate_row(n, est) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands.  Each maps (config, pool_map) to its output texts by file
+# name and its exit code.
+
+Outputs = tuple[dict[str, str], int]
 
 
-def cmd_simulate(config: RunConfig) -> int:
-    rundir = RunDirectory(config, "simulate")
+def cmd_simulate(config: RunConfig, pool_map) -> Outputs:
     state, records = firesim.run(config.window(), config.seed, config.t)
     region = config.cone()
     rows = firesim.destruction_log_rows(records, region)
-    rundir.add("destruction_log.csv",
-               csv_text(["time", "ignition_k", "cluster_size", "max_im", "in_cone"], rows))
     summary = firesim.run_summary(state, records)
     summary["cone_height"] = firesim.height_of_destruction(records, region)
     summary["seed"] = config.seed
-    rundir.add("summary.json", json_text(summary))
-    rundir.write()
-    return EXIT_OK
+    return {"destruction_log.csv": csv_text(
+                ["time", "ignition_k", "cluster_size", "max_im", "in_cone"], rows),
+            "summary.json": json_text(summary)}, EXIT_OK
 
 
-def cmd_onearm(config: RunConfig, pool_map) -> int:
-    rundir = RunDirectory(config, "onearm")
+def cmd_onearm(config: RunConfig, pool_map) -> Outputs:
     rows = []
     points = []
     for i, n in enumerate(config.n_list):
@@ -335,8 +331,6 @@ def cmd_onearm(config: RunConfig, pool_map) -> int:
             clocks.derive_seed(config.seed, 1000 + i), pool_map=pool_map)
         rows.append(_estimate_row(n, est))
         points.append((n, est))
-    rundir.add("onearm.csv",
-               csv_text(["n", "point", "ci_low", "ci_high", "samples"], rows))
     report = {"t": config.t, "phi": config.phi, "half_plane": config.half_plane}
     fit = estimators.powerlaw_fit(points)
     if fit is not None:
@@ -344,13 +338,11 @@ def cmd_onearm(config: RunConfig, pool_map) -> int:
     else:
         report["loglog_fit"] = None
         report["warning"] = "too few nonzero estimates for a slope fit"
-    rundir.add("onearm_fit.json", json_text(report))
-    rundir.write()
-    return EXIT_OK
+    return {"onearm.csv": csv_text(["n", "point", "ci_low", "ci_high", "samples"], rows),
+            "onearm_fit.json": json_text(report)}, EXIT_OK
 
 
-def cmd_xiscan(config: RunConfig, pool_map) -> int:
-    rundir = RunDirectory(config, "xiscan")
+def cmd_xiscan(config: RunConfig, pool_map) -> Outputs:
     scan = estimators.scan_xi_exponent(
         list(config.t_list), config.phi, config.samples, config.seed, pool_map)
     rows = [(t, T_C - t, xf.xi, xf.xi_ci[0], xf.xi_ci[1]) for t, xf in scan.xis]
@@ -362,18 +354,14 @@ def cmd_xiscan(config: RunConfig, pool_map) -> int:
             "points": [_estimate_row(n, e) for n, e in xf.points],
         } for t, xf in scan.xis],
     }
-    rundir.add("xiscan.csv",
-               csv_text(["t", "gap", "xi", "xi_ci_low", "xi_ci_high"], rows))
-    rundir.add("xiscan_fit.json", json_text(report))
-    rundir.write()
-    return EXIT_OK
+    return {"xiscan.csv": csv_text(["t", "gap", "xi", "xi_ci_low", "xi_ci_high"], rows),
+            "xiscan_fit.json": json_text(report)}, EXIT_OK
 
 
-def cmd_events(config: RunConfig, pool_map) -> int:
-    rundir = RunDirectory(config, "events")
+def cmd_events(config: RunConfig, pool_map) -> Outputs:
     rows = []
     d_points = []
-    violations = {"A=>B": 0, "C=>B": 0, "B&!C=>D": 0}
+    violations = Counter()  # update() keeps the zero counts
     per_n = []
     # Every n's parameters are checked before the first sample is drawn.
     all_params = [EventParams(n, config.x, config.phi, config.delta)
@@ -382,8 +370,7 @@ def cmd_events(config: RunConfig, pool_map) -> int:
         stats = estimators.coupled_event_stats(
             params, config.samples, clocks.derive_seed(config.seed, 9000 + i),
             include_a=config.events_include_a, pool_map=pool_map)
-        for key in violations:
-            violations[key] += stats.violations[key]
+        violations.update(stats.violations)
         ests = stats.estimates
         rows.append((n, ests["A"].point, ests["B"].point, ests["C"].point,
                      ests["D"].point, config.samples))
@@ -405,15 +392,11 @@ def cmd_events(config: RunConfig, pool_map) -> int:
             "verdict": bc.verdict,
             "fit": dataclasses.asdict(bc.slope_fit) if bc.slope_fit else None,
         }
-    rundir.add("events.csv",
-               csv_text(["n", "A", "B", "C", "D", "samples"], rows))
-    rundir.add("events_report.json", json_text(report))
-    rundir.write()
-    return EXIT_OK
+    return {"events.csv": csv_text(["n", "A", "B", "C", "D", "samples"], rows),
+            "events_report.json": json_text(report)}, EXIT_OK
 
 
-def cmd_heights(config: RunConfig, pool_map) -> int:
-    rundir = RunDirectory(config, "heights")
+def cmd_heights(config: RunConfig, pool_map) -> Outputs:
     region = config.cone() if config.region == "cone" else config.tube()
     dists = estimators.height_distribution(
         region, list(config.heights_list), config.samples, config.seed,
@@ -432,14 +415,11 @@ def cmd_heights(config: RunConfig, pool_map) -> int:
             "p90_bracket": list(dist.bracket(0.9)),
             "p90_bracket_ci": list(dist.bracket_ci(0.9)),
         })
-    rundir.add("heights.csv",
-               csv_text(["window_height", "sample", "lower", "upper"], rows))
-    rundir.add("heights_summary.json", json_text({
-        "region": config.region, "x": config.x, "phi": config.phi,
-        "per_window": summary,
-    }))
-    rundir.write()
-    return EXIT_OK
+    return {"heights.csv": csv_text(["window_height", "sample", "lower", "upper"], rows),
+            "heights_summary.json": json_text({
+                "region": config.region, "x": config.x, "phi": config.phi,
+                "per_window": summary,
+            })}, EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -451,9 +431,7 @@ def _check(name: str, failures: list[str], **counts) -> dict:
     return {"name": name, **counts, "ok": not failures, "failures": failures[:1]}
 
 
-def cmd_verify(config: RunConfig) -> int:
-    rundir = RunDirectory(config, "verify")
-
+def cmd_verify(config: RunConfig, pool_map) -> Outputs:
     def seeds(offset: int, n: int) -> list[int]:
         return [clocks.derive_seed(config.seed, offset + i) for i in range(n)]
 
@@ -488,14 +466,23 @@ def cmd_verify(config: RunConfig) -> int:
     ok = all(c["ok"] for c in checks)
     report = {"ok": ok, "checks": checks,
               "corrupt_streams": config.corrupt_streams}
-    rundir.add("verify_report.json", json_text(report))
-    rundir.write()
     if not ok:
         first = next(c for c in checks if not c["ok"])
         print(f"invariant failure: {first['name']}: {first['failures'][0]}",
               file=sys.stderr)
-        return EXIT_INVARIANT
-    return EXIT_OK
+    return ({"verify_report.json": json_text(report)},
+            EXIT_OK if ok else EXIT_INVARIANT)
+
+
+# Each command's function, and whether it maps samples over a worker pool.
+COMMANDS = {
+    "simulate": (cmd_simulate, False),
+    "onearm": (cmd_onearm, True),
+    "xiscan": (cmd_xiscan, True),
+    "events": (cmd_events, True),
+    "heights": (cmd_heights, True),
+    "verify": (cmd_verify, False),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "half-plane triangular lattice")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("simulate", "onearm", "xiscan", "events", "heights", "verify"):
+    for name in COMMANDS:
         p = sub.add_parser(name, allow_abbrev=False)
         p.add_argument("--config", default=None, help="config file path")
         for f in _FIELDS.values():
@@ -544,19 +531,16 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
+    command, pooled = COMMANDS[args.command]
+    rundir = RunDirectory(config, args.command)
     pool = None
     try:
-        if args.command == "simulate":
-            return cmd_simulate(config)
-        if args.command == "verify":
-            return cmd_verify(config)
-        # Only the Monte-Carlo commands map samples over a worker pool.
-        pooled = {"onearm": cmd_onearm, "xiscan": cmd_xiscan,
-                  "events": cmd_events, "heights": cmd_heights}
-        threads = config.resolved_threads()
-        pool = Pool(threads) if threads > 1 else None
+        if pooled and (threads := config.resolved_threads()) > 1:
+            pool = Pool(threads)
         # Without a pool, estimators map the samples with the builtin map.
-        return pooled[args.command](config, pool.map if pool else None)
+        files, code = command(config, pool.map if pool else None)
+        rundir.write(files)
+        return code
     except FitError as exc:
         print(f"degenerate fit: {exc}", file=sys.stderr)
         return EXIT_FIT

@@ -443,8 +443,7 @@ def _records_reach_cone(params: EventParams, records) -> bool:
         return False
     w, win = params.w_site, event_a_window(params)
     near_cone = percolation.target_mask(win, params.cone(), True)
-    sites = np.concatenate([rec.sites for rec in records])
-    starts = np.cumsum([0] + [rec.size for rec in records][:-1])
+    sites, starts = firesim._flat_sites(records)
     ks, ls = sites[:, 0], sites[:, 1]
     at_w = (ls == 1) & ((ks == w[0]) | (ks == w[0] - 1))
     near = near_cone[ls - win.l_min, ks - win.k_min]

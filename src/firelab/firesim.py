@@ -199,14 +199,22 @@ def _ring_schedule(window: Window, t_end: float, states: np.ndarray,
     return ts[order].tolist(), ks[order].tolist()
 
 
+def _flat_sites(records: list[DestructionRecord]) -> tuple[np.ndarray, np.ndarray]:
+    """Every record's sites in one (m, 2) array, in record order, and the
+    row where each record's slice starts, for ``reduceat``; ``records`` is
+    nonempty."""
+    sites = np.concatenate([rec.sites for rec in records])
+    starts = np.cumsum([0] + [rec.size for rec in records][:-1])
+    return sites, starts
+
+
 def _record_tops(records: list[DestructionRecord], region) -> np.ndarray:
     """Each record's largest embedded height inside ``region`` (everywhere
     for None), -inf for a record with no site there: one pass over every
     record's sites."""
     if not records:
         return np.empty(0)
-    sites = np.concatenate([rec.sites for rec in records])
-    starts = np.cumsum([0] + [rec.size for rec in records][:-1])
+    sites, starts = _flat_sites(records)
     ls = sites[:, 1].astype(np.float64)
     ys = SQRT3_2 * ls
     if region is not None:

@@ -10,6 +10,7 @@ import pytest
 from firelab import cli
 from firelab.cli import (
     EXIT_CONFIG,
+    EXIT_FIT,
     EXIT_INVARIANT,
     EXIT_OK,
     EXIT_RUNTIME,
@@ -360,10 +361,24 @@ def test_verify_honours_t_end(tmp_path):
 
 
 def test_verify_negative_control(tmp_path, capsys):
+    out = tmp_path / "vc"
     code = cli.main(["verify", "--seed", "6", "--verify-runs", "12",
-                     "--corrupt-streams", "--out", str(tmp_path / "vc")])
+                     "--corrupt-streams", "--out", str(out)])
     assert code == EXIT_INVARIANT
     assert "invariant failure" in capsys.readouterr().err
+    # Exit 5 still writes the run directory, with the failing report.
+    assert json.loads((out / "verify_report.json").read_text())["ok"] is False
+    assert digests(out) == {"verify_report.json": file_hash(out / "verify_report.json")}
+
+
+def test_degenerate_fit_exits_4_without_output(tmp_path, capsys):
+    # One sample per point: every one-arm estimate of the scan is zero.
+    out = tmp_path / "x"
+    code = cli.main(["xiscan", "--samples", "1", "--t-list", "0.1,0.2,0.3",
+                     "--out", str(out)])
+    assert code == EXIT_FIT
+    assert "degenerate fit: all one-arm estimates are zero" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_manifest_round_trip(tmp_path):
@@ -466,6 +481,7 @@ def test_runtime_failure_prints_traceback(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "runtime failure: boom" in err
     assert "Traceback" in err and "exploding_run" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_refuses_non_empty_out(tmp_path, capsys):
